@@ -22,11 +22,7 @@ print(f"  watertight: {good.watertight}")
 print(f"  volume: {good.signed_volume} (truth: {analytic_volume(grid)})")
 
 # Puncture it: same vertices, one face fewer.
-holed = TriangleMesh(
-    vertices=box.vertices,
-    triangles=box.triangles[:-1],
-    normals=box.normals[:-1],
-)
+holed = TriangleMesh(vertices=box.vertices, triangles=box.triangles[:-1])
 bad = validate(holed)
 print("\nsame box minus one triangle:")
 print(f"  boundary edges: {bad.boundary_edge_count}")

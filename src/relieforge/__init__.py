@@ -51,6 +51,7 @@ from .mesh import (
     TriangleMesh,
     analytic_volume,
     close_solid,
+    face_normals,
     tessellate_top,
     validate,
 )
@@ -100,6 +101,7 @@ __all__ = [
     "TriangleMesh",
     "MeshReport",
     "InvertedSolidError",
+    "face_normals",
     "tessellate_top",
     "close_solid",
     "validate",

@@ -64,12 +64,12 @@ class PhysicalExtent:
 
 @dataclass
 class HeightGrid:
-    """Heights (mm, >= 0) with physical sample positions.
+    """Finite heights (mm, >= 0) with physical sample positions.
 
-    ``x[c]``/``y[r]`` are the mm coordinates of column c / row r; ``dx``
-    and ``dy`` are the nominal spacings (extent / (n - 1)). Positions are
-    held explicitly so the grid's outer edge lands exactly on the
-    requested extent.
+    ``x[c]``/``y[r]`` are the strictly increasing mm coordinates of
+    column c / row r; ``dx`` and ``dy`` are the nominal spacings
+    (extent / (n - 1)). Positions are held explicitly so the grid's outer
+    edge lands exactly on the requested extent.
     """
 
     heights: np.ndarray
@@ -86,8 +86,14 @@ class HeightGrid:
             raise GridTooSmallError(f"height grid must be at least 2x2, got {h.shape}")
         if x.shape != (h.shape[1],) or y.shape != (h.shape[0],):
             raise ValueError("x/y coordinate arrays must match the grid shape")
+        if not np.isfinite(h).all():
+            raise GeometryError("heights must be finite")
         if h.min() < 0.0:
             raise ValueError("heights must be >= 0")
+        # close_solid identifies vertices by grid index, which matches
+        # identity by coordinates only while no two samples share (x, y).
+        if not ((np.diff(x) > 0).all() and (np.diff(y) > 0).all()):
+            raise GeometryError("sample positions must be strictly increasing")
         if not self.dx:
             self.dx = float(x[1] - x[0])
         if not self.dy:

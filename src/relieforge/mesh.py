@@ -2,9 +2,12 @@
 
 The top surface splits every cell along its (r,c)->(r+1,c+1) diagonal in
 a fixed row-major order, so output is deterministic and a closed-form
-prism-sum volume oracle exists. close_solid welds a congruent base and
-perimeter walls onto that surface to form a watertight, outward-oriented
-solid; validate measures any mesh without modifying it.
+prism-sum volume oracle exists. close_solid joins a congruent base and
+perimeter walls to that surface to form a watertight, outward-oriented
+solid. Its vertex identity comes from the grid indices, not from
+comparing coordinates: sample (r, c) is vertex r*cols + c, and a base
+corner is a vertex of its own only where the sample stands above the
+base plane. validate measures any mesh without modifying it.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ __all__ = [
     "MeshReport",
     "InvertedSolidError",
     "DEFAULT_MIN_FEATURE",
+    "face_normals",
     "tessellate_top",
     "close_solid",
     "validate",
@@ -38,28 +42,24 @@ class InvertedSolidError(GeometryError):
 
 @dataclass
 class TriangleMesh:
-    """Indexed triangle soup with outward per-triangle unit normals.
+    """Indexed triangle mesh.
 
-    Winding is counter-clockwise seen from outside, so
-    normalize((v1-v0) x (v2-v0)) points out of the solid.
+    Winding is counter-clockwise seen from outside, so the
+    face_normals() of a closed solid point out of it.
     ``degenerate_skipped`` records triangles dropped at build time
     (zero-area walls from flat borders); parsers leave it 0.
     """
 
     vertices: np.ndarray
     triangles: np.ndarray
-    normals: np.ndarray
     degenerate_skipped: int = 0
 
     def __post_init__(self):
         v = np.ascontiguousarray(np.asarray(self.vertices, dtype=np.float64).reshape(-1, 3))
         t = np.ascontiguousarray(np.asarray(self.triangles, dtype=np.int64).reshape(-1, 3))
-        n = np.ascontiguousarray(np.asarray(self.normals, dtype=np.float64).reshape(-1, 3))
-        if len(n) != len(t):
-            raise ValueError("need one normal per triangle")
         if len(t) and (t.min() < 0 or t.max() >= len(v)):
             raise ValueError("triangle index out of range")
-        self.vertices, self.triangles, self.normals = v, t, n
+        self.vertices, self.triangles = v, t
 
     @property
     def triangle_count(self) -> int:
@@ -96,11 +96,14 @@ def _triangle_cross(v0: np.ndarray, v1: np.ndarray, v2: np.ndarray) -> np.ndarra
     return np.cross(v1 - v0, v2 - v0)
 
 
-def _unit_normals(cross: np.ndarray) -> np.ndarray:
+def face_normals(corners: np.ndarray) -> np.ndarray:
+    """Unit normals by the right-hand rule over (T, 3, 3) corners.
+
+    Zero-area triangles get a zero normal instead of NaN.
+    """
+    cross = _triangle_cross(corners[:, 0], corners[:, 1], corners[:, 2])
     norms = np.linalg.norm(cross, axis=1, keepdims=True)
-    # Zero-area triangles get a zero normal instead of NaN.
-    safe = np.where(norms == 0.0, 1.0, norms)
-    return cross / safe
+    return cross / np.where(norms == 0.0, 1.0, norms)
 
 
 def _grid_vertices(g: HeightGrid, z: np.ndarray) -> np.ndarray:
@@ -138,11 +141,7 @@ def tessellate_top(g: HeightGrid) -> TriangleMesh:
 
     One vertex per sample at (x[c], y[r], h[r,c]); normals face +Z-ward.
     """
-    vertices = _grid_vertices(g, g.heights)
-    triangles = _cell_triangles(g.rows, g.cols, flip=False)
-    v0, v1, v2 = (vertices[triangles[:, k]] for k in range(3))
-    normals = _unit_normals(_triangle_cross(v0, v1, v2))
-    return TriangleMesh(vertices, triangles, normals)
+    return TriangleMesh(_grid_vertices(g, g.heights), _cell_triangles(g.rows, g.cols, flip=False))
 
 
 def close_solid(
@@ -152,10 +151,12 @@ def close_solid(
 
     Adds a base grid congruent to the top at z = base_z (winding
     mirrored, normals -Z-ward) and perimeter walls joining the two rims.
-    Vertices are deduplicated by exact coordinate equality, so walls of
-    zero height collapse to zero-area triangles; those are skipped and
-    counted in ``degenerate_skipped``. With every height above base_z
-    the result is watertight with outward normals.
+    Sample (r, c) is top vertex r*cols + c. Its base corner is that same
+    vertex where h == base_z, and otherwise a vertex of its own, numbered
+    after the top ones in row-major order. Walls of zero height therefore
+    collapse to zero-area triangles; those are skipped and counted in
+    ``degenerate_skipped``. With every height above base_z the result is
+    watertight with outward normals.
     """
     heights = g.heights
     if heights.min() < base_z:
@@ -165,49 +166,33 @@ def close_solid(
     rows, cols = g.rows, g.cols
     n = rows * cols
 
-    raw_vertices = np.vstack(
-        [_grid_vertices(g, heights), _grid_vertices(g, np.full((rows, cols), float(base_z)))]
-    )
+    raised = (heights > base_z).ravel()
+    base = np.where(raised, n - 1 + np.cumsum(raised), np.arange(n))
+    top_vertices = _grid_vertices(g, heights)
+    vertices = np.vstack([top_vertices, top_vertices[raised]])
+    vertices[n:, 2] = base_z
+
+    # Walls: two triangles per rim edge from sample f to sample t, wound
+    # so normals face away from the footprint. Fixed side order: south,
+    # north, west, east.
     top = np.arange(n).reshape(rows, cols)
-    base = top + n
+    f = np.concatenate([top[0, :-1], top[-1, 1:], top[1:, 0], top[:-1, -1]])
+    t = np.concatenate([top[0, 1:], top[-1, :-1], top[:-1, 0], top[1:, -1]])
+    wall_tris = np.stack([base[f], base[t], t, base[f], t, f], axis=1).reshape(-1, 3)
 
-    top_tris = _cell_triangles(rows, cols, flip=False)
-    base_tris = _cell_triangles(rows, cols, flip=True) + n
-
-    # Walls: two triangles per boundary edge, wound so normals face away
-    # from the footprint. Fixed side order: south, north, west, east.
-    walls = []
-    for c in range(cols - 1):  # south rim, y = y[0], outward -y
-        walls.append((base[0, c], base[0, c + 1], top[0, c + 1]))
-        walls.append((base[0, c], top[0, c + 1], top[0, c]))
-    for c in range(cols - 1):  # north rim, outward +y
-        walls.append((base[-1, c + 1], base[-1, c], top[-1, c]))
-        walls.append((base[-1, c + 1], top[-1, c], top[-1, c + 1]))
-    for r in range(rows - 1):  # west rim, x = x[0], outward -x
-        walls.append((base[r + 1, 0], base[r, 0], top[r, 0]))
-        walls.append((base[r + 1, 0], top[r, 0], top[r + 1, 0]))
-    for r in range(rows - 1):  # east rim, outward +x
-        walls.append((base[r, -1], base[r + 1, -1], top[r + 1, -1]))
-        walls.append((base[r, -1], top[r + 1, -1], top[r, -1]))
-    wall_tris = np.array(walls, dtype=np.int64).reshape(-1, 3)
-
-    triangles = np.vstack([top_tris, base_tris, wall_tris])
-
-    vertices, remap = np.unique(raw_vertices, axis=0, return_inverse=True)
-    triangles = remap.reshape(-1)[triangles.reshape(-1)].reshape(-1, 3)
+    triangles = np.vstack(
+        [
+            _cell_triangles(rows, cols, flip=False),
+            base[_cell_triangles(rows, cols, flip=True)],
+            wall_tris,
+        ]
+    )
 
     v0, v1, v2 = (vertices[triangles[:, k]] for k in range(3))
-    cross = _triangle_cross(v0, v1, v2)
-    areas = 0.5 * np.linalg.norm(cross, axis=1)
+    areas = 0.5 * np.linalg.norm(_triangle_cross(v0, v1, v2), axis=1)
     keep = areas >= min_feature * min_feature * 1e-6
     skipped = int(np.count_nonzero(~keep))
-
-    return TriangleMesh(
-        vertices,
-        triangles[keep],
-        _unit_normals(cross[keep]),
-        degenerate_skipped=skipped,
-    )
+    return TriangleMesh(vertices, triangles[keep], degenerate_skipped=skipped)
 
 
 def validate(m: TriangleMesh, min_feature: float = DEFAULT_MIN_FEATURE) -> MeshReport:
@@ -245,19 +230,20 @@ def validate(m: TriangleMesh, min_feature: float = DEFAULT_MIN_FEATURE) -> MeshR
     areas = 0.5 * np.linalg.norm(cross, axis=1)
     degenerate = int(np.count_nonzero(areas < min_feature * min_feature * 1e-6))
 
-    # Directed edge list: (a,b), (b,c), (c,a) per triangle, encoded into
-    # one int64 each so uniqueness checks are single np.unique calls.
+    # One sort of the directed edges, keyed (undirected edge, direction):
+    # runs of equal undirected codes give each edge's use count, and equal
+    # neighbouring keys are a repeated directed edge.
     nv = len(m.vertices)
-    directed = np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
-    self_loops = int(np.count_nonzero(directed[:, 0] == directed[:, 1]))
-    dir_codes = directed[:, 0] * nv + directed[:, 1]
-    _, dir_counts = np.unique(dir_codes, return_counts=True)
-    directed_dup = bool((dir_counts > 1).any())
-
-    und = np.sort(directed, axis=1)
-    und_codes = und[:, 0] * nv + und[:, 1]
-    und_unique, und_counts = np.unique(und_codes, return_counts=True)
-    edge_count = len(und_unique)
+    a = t.ravel()
+    b = t[:, [1, 2, 0]].ravel()
+    self_loops = int(np.count_nonzero(a == b))
+    keys = ((np.minimum(a, b) * nv + np.maximum(a, b)) << 1) | (a > b)
+    keys.sort()
+    directed_dup = bool((keys[1:] == keys[:-1]).any())
+    und = keys >> 1
+    starts = np.flatnonzero(np.concatenate([[True], und[1:] != und[:-1]]))
+    und_counts = np.diff(starts, append=len(und))
+    edge_count = len(starts)
     boundary = int(np.count_nonzero(und_counts == 1))
     nonmanifold = int(np.count_nonzero(und_counts > 2))
 

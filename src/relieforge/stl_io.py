@@ -14,6 +14,7 @@ binary/ASCII pair of the same mesh parses back bit-identically.
 
 from __future__ import annotations
 
+import math
 import struct
 from os import PathLike
 from typing import BinaryIO, Iterator
@@ -21,7 +22,7 @@ from typing import BinaryIO, Iterator
 import numpy as np
 
 from .errors import ByteParseError, LineParseError
-from .mesh import TriangleMesh
+from .mesh import TriangleMesh, face_normals
 
 __all__ = [
     "StlTruncationError",
@@ -45,13 +46,6 @@ class AsciiStlError(LineParseError):
     """ASCII STL that violates the solid/facet/loop grammar."""
 
 
-def _winding_normals(corners: np.ndarray) -> np.ndarray:
-    """Unit normals from the right-hand rule over (T, 3, 3) corners."""
-    cross = np.cross(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0])
-    norms = np.linalg.norm(cross, axis=1, keepdims=True)
-    return cross / np.where(norms == 0.0, 1.0, norms)
-
-
 def _write_bytes(target, payload: bytes) -> int:
     if hasattr(target, "write"):
         target.write(payload)
@@ -65,7 +59,7 @@ def write_binary_stl(mesh: TriangleMesh, target: str | PathLike | BinaryIO) -> i
     """Write the compact binary form; returns bytes written (84 + 50*T)."""
     corners = mesh.vertices[mesh.triangles]
     records = np.zeros(len(corners), dtype=_RECORD)
-    records["normal"] = _winding_normals(corners).astype(np.float32)
+    records["normal"] = face_normals(corners).astype(np.float32)
     records["vertices"] = corners.astype(np.float32)
     header = BINARY_HEADER_TEXT.ljust(80, b"\x00")
     payload = header + struct.pack("<I", len(corners)) + records.tobytes()
@@ -84,7 +78,7 @@ def write_ascii_stl(
     if "\n" in name or "\r" in name:
         raise ValueError("solid name must not contain newlines")
     corners = mesh.vertices[mesh.triangles]
-    normals = _winding_normals(corners)
+    normals = face_normals(corners)
     lines = [f"solid {name}"]
     for tri, normal in zip(corners, normals):
         nx, ny, nz = (_fmt(v) for v in normal)
@@ -99,19 +93,26 @@ def write_ascii_stl(
     return _write_bytes(target, "\n".join(lines).encode("ascii"))
 
 
-def _mesh_from_soup(corner_soup: np.ndarray, normals: np.ndarray) -> TriangleMesh:
-    """Weld a (T, 3, 3) corner soup into an indexed mesh.
+def _mesh_from_soup(corner_soup: np.ndarray) -> TriangleMesh:
+    """Weld a finite float32 (T, 3, 3) corner soup into an indexed mesh.
 
-    Deduplication is by exact coordinate equality -- parsing must not
-    invent tolerances the file does not contain.
+    Corners weld by exact equality -- parsing must not invent tolerances
+    the file does not contain. Adding +0.0 turns -0.0 into 0.0; after
+    that, equal finite float32 values have equal bit patterns, so one
+    integer sort of the (x, y, z) bits groups equal corners.
     """
-    flat = corner_soup.reshape(-1, 3)
+    flat = (corner_soup + np.float32(0.0)).reshape(-1, 3)
     if len(flat) == 0:
-        return TriangleMesh(
-            np.zeros((0, 3)), np.zeros((0, 3), dtype=np.int64), np.zeros((0, 3))
-        )
-    vertices, inverse = np.unique(flat, axis=0, return_inverse=True)
-    return TriangleMesh(vertices, inverse.reshape(-1, 3), normals)
+        return TriangleMesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=np.int64))
+    bits = flat.view(np.uint32)
+    xy = (bits[:, 0].astype(np.uint64) << 32) | bits[:, 1]
+    z = bits[:, 2]
+    order = np.lexsort((z, xy))
+    xy, z = xy[order], z[order]
+    new = np.concatenate([[True], (xy[1:] != xy[:-1]) | (z[1:] != z[:-1])])
+    inverse = np.empty(len(flat), dtype=np.int64)
+    inverse[order] = np.cumsum(new) - 1
+    return TriangleMesh(flat[order[new]], inverse.reshape(-1, 3))
 
 
 def _parse_binary(data: bytes) -> TriangleMesh:
@@ -127,10 +128,14 @@ def _parse_binary(data: bytes) -> TriangleMesh:
             f" {len(data)} bytes",
             offset=min(len(data), expected),
         )
-    records = np.frombuffer(data, dtype=_RECORD, count=count, offset=84)
-    corners = records["vertices"].astype(np.float64)
-    normals = records["normal"].astype(np.float64)
-    return _mesh_from_soup(corners, normals)
+    corners = np.frombuffer(data, dtype=_RECORD, count=count, offset=84)["vertices"]
+    finite = np.isfinite(corners).reshape(count, 9).all(axis=1)
+    if not finite.all():
+        first = int(np.argmin(finite))
+        raise ByteParseError(
+            f"triangle {first} has a non-finite vertex coordinate", offset=84 + 50 * first + 12
+        )
+    return _mesh_from_soup(corners)
 
 
 def _ascii_lines(text: str) -> Iterator[tuple[int, list[str]]]:
@@ -183,19 +188,21 @@ def _parse_ascii(data: bytes) -> TriangleMesh:
     _expect(tokens, lineno, "solid")
 
     corners: list[list[float]] = []
-    normals: list[list[float]] = []
     while True:
         lineno, tokens = _take(stream, lineno)
         if tokens[0].lower() == "endsolid":
             break
         _expect(tokens, lineno, "facet", "normal")
-        normals.append(_floats(tokens, lineno, 2, 3))
+        _floats(tokens, lineno, 2, 3)  # grammar only; writers use the winding
         lineno, tokens = _take(stream, lineno)
         _expect(tokens, lineno, "outer", "loop")
         for _ in range(3):
             lineno, tokens = _take(stream, lineno)
             _expect(tokens, lineno, "vertex")
-            corners.append(_floats(tokens, lineno, 1, 3))
+            xyz = _floats(tokens, lineno, 1, 3)
+            if not all(map(math.isfinite, xyz)):
+                raise AsciiStlError(f"non-finite vertex '{' '.join(tokens[1:])}'", line=lineno)
+            corners.append(xyz)
         lineno, tokens = _take(stream, lineno)
         _expect(tokens, lineno, "endloop")
         lineno, tokens = _take(stream, lineno)
@@ -204,8 +211,7 @@ def _parse_ascii(data: bytes) -> TriangleMesh:
     for extra_lineno, extra in stream:
         raise AsciiStlError(f"content after endsolid: '{' '.join(extra)}'", line=extra_lineno)
 
-    soup = np.asarray(corners, dtype=np.float64).reshape(-1, 3, 3)
-    return _mesh_from_soup(soup, np.asarray(normals, dtype=np.float64).reshape(-1, 3))
+    return _mesh_from_soup(np.asarray(corners, dtype=np.float32).reshape(-1, 3, 3))
 
 
 def read_stl(source: str | PathLike | bytes) -> TriangleMesh:

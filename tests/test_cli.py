@@ -166,6 +166,11 @@ class TestExitCodes:
         assert proc.returncode == 4
         assert "geometry" in proc.stderr
 
+    def test_geometry_nonfinite_pad_value(self, tmp_path, logo_pgm):
+        proc = run("convert", logo_pgm, "--pad", "--pad-value", "nan", "-o", tmp_path / "x.stl")
+        assert proc.returncode == 4
+        assert proc.stderr.startswith("relieforge: geometry: heights must be finite")
+
     def test_output_io_failure(self, tmp_path, logo_pgm):
         proc = run("convert", logo_pgm, "-o", tmp_path / "no-dir" / "x.stl")
         assert proc.returncode == 5
@@ -208,6 +213,16 @@ class TestInspect:
         proc = run("inspect", trunc)
         assert proc.returncode == 3
         assert "input-parse" in proc.stderr
+
+    def test_nonfinite_coordinate(self, tmp_path, logo_pgm):
+        out = tmp_path / "x.stl"
+        run("convert", logo_pgm, "-o", out)
+        data = bytearray(out.read_bytes())
+        data[84 + 12 : 84 + 16] = b"\x00\x00\xc0\x7f"  # float32 NaN
+        out.write_bytes(bytes(data))
+        proc = run("inspect", out)
+        assert proc.returncode == 3
+        assert "input-parse" in proc.stderr and "non-finite" in proc.stderr
 
 
 class TestPreview:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from relieforge.errors import GeometryError
 from relieforge.heightfield import (
     GridTooSmallError,
     HeightGrid,
@@ -117,6 +118,17 @@ class TestHeightGrid:
     def test_rejects_negative_heights(self):
         with pytest.raises(ValueError):
             HeightGrid.from_spacing(np.array([[0.0, 1.0], [-1.0, 0.0]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_nonfinite_heights(self, bad):
+        with pytest.raises(GeometryError, match="finite"):
+            HeightGrid.from_spacing(np.array([[0.0, 1.0], [bad, 0.0]]))
+
+    def test_rejects_positions_not_strictly_increasing(self):
+        with pytest.raises(GeometryError, match="strictly increasing"):
+            HeightGrid(np.zeros((2, 3)), x=[0.0, 1.0, 1.0], y=[0.0, 1.0])
+        with pytest.raises(GeometryError, match="strictly increasing"):
+            HeightGrid(np.zeros((3, 2)), x=[0.0, 1.0], y=[0.0, 2.0, 1.0])
 
     def test_extent_invariants(self):
         with pytest.raises(ValueError):

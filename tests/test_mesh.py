@@ -7,6 +7,7 @@ from relieforge.mesh import (
     TriangleMesh,
     analytic_volume,
     close_solid,
+    face_normals,
     tessellate_top,
     validate,
 )
@@ -22,7 +23,8 @@ class TestTessellateTop:
     def test_flat_cell(self):
         m = tessellate_top(grid([[2.0, 2.0], [2.0, 2.0]]))
         assert len(m.vertices) == 4 and m.triangle_count == 2
-        assert np.array_equal(m.normals, [[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
+        normals = face_normals(m.vertices[m.triangles])
+        assert np.array_equal(normals, [[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
 
     def test_counts_2x3(self):
         m = tessellate_top(grid(np.zeros((2, 3))))
@@ -32,8 +34,9 @@ class TestTessellateTop:
         # Hand-derived cross products for heights [[0,0],[0,1]]:
         # (A,B,D) -> (0,-1,1)/sqrt2, (A,D,C) -> (-1,0,1)/sqrt2.
         m = tessellate_top(grid([[0.0, 0.0], [0.0, 1.0]]))
-        assert m.normals[0] == pytest.approx([0.0, -INV_SQRT2, INV_SQRT2])
-        assert m.normals[1] == pytest.approx([-INV_SQRT2, 0.0, INV_SQRT2])
+        normals = face_normals(m.vertices[m.triangles])
+        assert normals[0] == pytest.approx([0.0, -INV_SQRT2, INV_SQRT2])
+        assert normals[1] == pytest.approx([-INV_SQRT2, 0.0, INV_SQRT2])
 
     def test_vertices_at_sample_positions(self):
         g = grid([[1.0, 2.0], [3.0, 4.0]], dx=2.0, dy=5.0)
@@ -107,32 +110,27 @@ class TestCloseSolid:
 class TestValidate:
     def test_box_with_triangle_deleted(self):
         mesh = close_solid(grid([[3.0, 3.0], [3.0, 3.0]]))
-        holed = TriangleMesh(mesh.vertices, mesh.triangles[:-1], mesh.normals[:-1])
+        holed = TriangleMesh(mesh.vertices, mesh.triangles[:-1])
         rep = validate(holed)
         assert not rep.watertight
         assert rep.edge_count == 18  # deleting a face removes no edges here
         assert rep.boundary_edge_count == 3
 
     def test_empty_mesh_not_watertight(self):
-        rep = validate(
-            TriangleMesh(np.zeros((0, 3)), np.zeros((0, 3), int), np.zeros((0, 3)))
-        )
+        rep = validate(TriangleMesh(np.zeros((0, 3)), np.zeros((0, 3), int)))
         assert not rep.watertight
         assert rep.triangle_count == 0 and rep.signed_volume == 0.0
 
     def test_duplicated_face_not_watertight(self):
         mesh = close_solid(grid([[3.0, 3.0], [3.0, 3.0]]))
         tris = np.vstack([mesh.triangles, mesh.triangles[:1]])
-        norms = np.vstack([mesh.normals, mesh.normals[:1]])
-        rep = validate(TriangleMesh(mesh.vertices, tris, norms))
+        rep = validate(TriangleMesh(mesh.vertices, tris))
         assert not rep.watertight
 
     def test_translation_invariance(self):
         g = grid(np.random.default_rng(1).uniform(1, 4, size=(5, 5)))
         mesh = close_solid(g)
-        moved = TriangleMesh(
-            mesh.vertices + np.array([13.0, -7.0, 101.0]), mesh.triangles, mesh.normals
-        )
+        moved = TriangleMesh(mesh.vertices + np.array([13.0, -7.0, 101.0]), mesh.triangles)
         a, b = validate(mesh), validate(moved)
         assert b.signed_volume == pytest.approx(a.signed_volume, rel=1e-9)
         assert b.surface_area == pytest.approx(a.surface_area, rel=1e-9)

@@ -4,6 +4,7 @@ import struct
 import numpy as np
 import pytest
 
+from relieforge.errors import ByteParseError
 from relieforge.heightfield import HeightGrid
 from relieforge.mesh import TriangleMesh, close_solid, tessellate_top, validate
 from relieforge.stl_io import (
@@ -23,12 +24,11 @@ def one_triangle():
     return TriangleMesh(
         np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
         np.array([[0, 1, 2]]),
-        np.array([[0.0, 0.0, 1.0]]),
     )
 
 
 def empty_mesh():
-    return TriangleMesh(np.zeros((0, 3)), np.zeros((0, 3), int), np.zeros((0, 3)))
+    return TriangleMesh(np.zeros((0, 3)), np.zeros((0, 3), int))
 
 
 class TestWriteBinary:
@@ -91,7 +91,6 @@ class TestWriteAscii:
         mesh = TriangleMesh(
             np.array([[0.1, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
             np.array([[0, 1, 2]]),
-            np.array([[0.0, 0.0, 1.0]]),
         )
         buf = io.BytesIO()
         write_ascii_stl(mesh, buf)
@@ -206,10 +205,10 @@ class TestReadStl:
         mesh = read_stl(text.encode())
         assert float(np.float32(0.3)) in mesh.vertices[:, 0]
 
-    def test_stored_normals_retained(self):
+    def test_stored_normals_discarded(self):
         text = (
             "solid t\n"
-            "  facet normal 0 0 -1\n"  # wrong on purpose; must be kept
+            "  facet normal 0 0 -1\n"  # wrong on purpose; the winding wins
             "    outer loop\n"
             "      vertex 0 0 0\n"
             "      vertex 1 0 0\n"
@@ -218,8 +217,36 @@ class TestReadStl:
             "  endfacet\n"
             "endsolid t\n"
         )
-        mesh = read_stl(text.encode())
-        assert np.array_equal(mesh.normals, [[0.0, 0.0, -1.0]])
+        buf = io.BytesIO()
+        write_binary_stl(read_stl(text.encode()), buf)
+        normal = np.frombuffer(buf.getvalue(), dtype="<f4", count=3, offset=84)
+        assert np.array_equal(normal, [0.0, 0.0, 1.0])
+
+    def test_binary_nonfinite_coordinate_rejected(self):
+        buf = io.BytesIO()
+        write_binary_stl(box_mesh(), buf)
+        data = bytearray(buf.getvalue())
+        struct.pack_into("<f", data, 84 + 50 * 5 + 12 + 4, float("nan"))  # triangle 5, v0.y
+        with pytest.raises(ByteParseError, match="triangle 5") as e:
+            read_stl(bytes(data))
+        assert e.value.offset == 84 + 50 * 5 + 12
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-1e39"])
+    def test_ascii_nonfinite_coordinate_names_line(self, bad):
+        text = (
+            "solid t\n"
+            "  facet normal 0 0 1\n"
+            "    outer loop\n"
+            "      vertex 0 0 0\n"
+            f"      vertex 1 {bad} 0\n"
+            "      vertex 0 1 0\n"
+            "    endloop\n"
+            "  endfacet\n"
+            "endsolid t\n"
+        )
+        with pytest.raises(AsciiStlError, match="line 5") as e:
+            read_stl(text.encode())
+        assert e.value.line == 5
 
     def test_read_from_path(self, tmp_path):
         path = tmp_path / "t.stl"
