@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -243,8 +244,15 @@ def preview(cfg: PipelineConfig, out_path: str) -> None:
         raise OutputError(f"cannot write {out_path}: {exc}") from exc
 
 
-def _positive_float(text: str) -> float:
+def _finite_float(text: str) -> float:
     value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = _finite_float(text)
     if not value > 0:
         raise argparse.ArgumentTypeError(f"must be positive, got {text}")
     return value
@@ -283,7 +291,7 @@ def _add_shaping_flags(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument(
         "--pad-value",
-        type=float,
+        type=_finite_float,
         default=0.0,
         metavar="MM",
         help="height of the padding border (default %(default)s)",
@@ -308,7 +316,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_convert.add_argument(
         "--base-z",
-        type=float,
+        type=_finite_float,
         default=0.0,
         metavar="MM",
         help="z of the base plane (default %(default)s)",

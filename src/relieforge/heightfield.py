@@ -25,6 +25,10 @@ __all__ = [
 ]
 
 
+#: Largest coordinate magnitude an STL file (float32) can hold.
+FLOAT32_MAX = float(np.finfo(np.float32).max)
+
+
 class GridTooSmallError(GeometryError):
     """A surface needs at least 2 samples along each axis."""
 
@@ -66,6 +70,9 @@ class PhysicalExtent:
 class HeightGrid:
     """Finite heights (mm, >= 0) with physical sample positions.
 
+    Heights and positions must also fit in float32 (``FLOAT32_MAX``),
+    the type STL files store.
+
     ``x[c]``/``y[r]`` are the strictly increasing mm coordinates of
     column c / row r; ``dx`` and ``dy`` are the nominal spacings
     (extent / (n - 1)). Positions are held explicitly so the grid's outer
@@ -88,6 +95,10 @@ class HeightGrid:
             raise ValueError("x/y coordinate arrays must match the grid shape")
         if not np.isfinite(h).all():
             raise GeometryError("heights must be finite")
+        if max(h.max(), -h.min(), np.abs(x).max(), np.abs(y).max()) > FLOAT32_MAX:
+            raise GeometryError(
+                f"heights and sample positions must lie within +-{FLOAT32_MAX:g} (float32)"
+            )
         if h.min() < 0.0:
             raise ValueError("heights must be >= 0")
         # close_solid identifies vertices by grid index, which matches

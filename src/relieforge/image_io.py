@@ -8,6 +8,8 @@ pure and safe to call concurrently.
 
 from __future__ import annotations
 
+import itertools
+import re
 import zlib
 from dataclasses import dataclass
 
@@ -106,6 +108,9 @@ class GrayImage:
 # PGM (Netpbm P2/P5)
 
 _WS = b" \t\n\r\v\f"
+_COMMENT = re.compile(rb"#[^\r\n]*")
+_TOKEN = re.compile(rb"[^ \t\n\r\v\f]+")
+_LEADING_ZEROS = re.compile(rb"(?<![0-9])0+(?=[0-9])")
 
 
 def _skip_space(data: bytes, pos: int) -> int:
@@ -186,20 +191,31 @@ def decode_pgm(data: bytes) -> RasterImage:
                 payload + bad * itemsize,
             )
     else:
-        raw = np.empty(count, dtype=np.int64)
-        for i in range(count):
-            try:
-                tok, start, pos = _read_token(data, pos, f"sample {i}")
-            except PgmParseError:
-                raise PgmParseError(
-                    f"truncated pixel data: expected {count} samples, found {i}", len(data)
-                ) from None
-            if not tok.isdigit():
-                raise PgmParseError(f"malformed sample: {tok!r}", start)
-            val = int(tok)
-            if val > maxval:
-                raise PgmParseError(f"sample {val} exceeds maxval {maxval}", start)
-            raw[i] = val
+        # Comments become blanks of their own length, so an offset into
+        # body plus pos is an offset into data.
+        body = _COMMENT.sub(lambda m: b" " * len(m[0]), data[pos:])
+        samples = body.split()[:count]
+        # Without leading zeros a sample's text is str(int(text)), and
+        # more than five digits exceed any maxval.
+        digits = _LEADING_ZEROS.sub(b"", b" ".join(samples)).split()
+        is_digit = np.fromiter(map(bytes.isdigit, samples), dtype=bool, count=len(samples))
+        size = np.fromiter(map(len, digits), dtype=np.intp, count=len(samples))
+        fits = is_digit & (size <= 5)
+        n_fit = len(samples) if fits.all() else int(np.argmin(fits))
+        raw = np.array(digits[:n_fit], dtype="S5").astype(np.int64)
+        # Samples are checked in order; the first problem wins.
+        over = np.flatnonzero(raw > maxval)
+        bad = int(over[0]) if len(over) else n_fit
+        if bad < len(samples):
+            start = pos + next(itertools.islice(_TOKEN.finditer(body), bad, None)).start()
+            if not is_digit[bad]:
+                raise PgmParseError(f"malformed sample: {samples[bad]!r}", start)
+            value = digits[bad].decode("ascii")
+            raise PgmParseError(f"sample {value} exceeds maxval {maxval}", start)
+        if len(samples) < count:
+            raise PgmParseError(
+                f"truncated pixel data: expected {count} samples, found {len(samples)}", len(data)
+            )
 
     samples = (raw.astype(np.float64) / maxval).reshape(height, width, 1)
     return RasterImage(samples)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GeometryError
-from .heightfield import HeightGrid
+from .heightfield import FLOAT32_MAX, HeightGrid
 
 __all__ = [
     "TriangleMesh",
@@ -159,6 +159,8 @@ def close_solid(
     watertight with outward normals.
     """
     heights = g.heights
+    if not abs(base_z) <= FLOAT32_MAX:
+        raise GeometryError(f"base plane z={base_z} lies outside +-{FLOAT32_MAX:g} (float32)")
     if heights.min() < base_z:
         raise InvertedSolidError(
             f"height {heights.min()} lies below the base plane z={base_z}"

@@ -231,4 +231,6 @@ def apply(tf: TransferFunction, img: GrayImage | ScalarGrid, scale: float = 4.0)
     """
     if not scale > 0:
         raise ValueError(f"scale must be positive, got {scale!r}")
-    return ScalarGrid(scale * tf.evaluate_array(img.values))
+    # An overflow yields inf quietly; HeightGrid refuses non-finite heights.
+    with np.errstate(over="ignore"):
+        return ScalarGrid(scale * tf.evaluate_array(img.values))

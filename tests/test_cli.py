@@ -166,10 +166,38 @@ class TestExitCodes:
         assert proc.returncode == 4
         assert "geometry" in proc.stderr
 
-    def test_geometry_nonfinite_pad_value(self, tmp_path, logo_pgm):
-        proc = run("convert", logo_pgm, "--pad", "--pad-value", "nan", "-o", tmp_path / "x.stl")
+    def test_geometry_overflowing_heights(self, tmp_path, logo_pgm):
+        tf_path = tmp_path / "huge.tf"
+        tf_path.write_text("[0.0,1.0] => 1e308\n")
+        proc = run("convert", logo_pgm, "--transfer", tf_path, "-o", tmp_path / "x.stl")
         assert proc.returncode == 4
-        assert proc.stderr.startswith("relieforge: geometry: heights must be finite")
+        assert proc.stderr == "relieforge: geometry: heights must be finite\n"
+
+    @pytest.mark.parametrize("flag", ["--scale", "--width-mm", "--depth-mm", "--pad-value", "--base-z"])
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_usage_nonfinite_float_flag(self, tmp_path, logo_pgm, flag, value):
+        proc = run("convert", logo_pgm, "-o", tmp_path / "x.stl", "--pad", f"{flag}={value}")
+        assert proc.returncode == 2
+        assert "finite" in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "flags", [["--scale", "1e308"], ["--width-mm", "1e308"], ["--base-z=-1e308"]]
+    )
+    def test_geometry_beyond_float32(self, tmp_path, logo_pgm, flags):
+        out = tmp_path / "x.stl"
+        proc = run("convert", logo_pgm, "-o", out, *flags)
+        assert proc.returncode == 4
+        assert proc.stderr.splitlines() == [proc.stderr.strip()]
+        assert proc.stderr.startswith("relieforge: geometry:") and "float32" in proc.stderr
+        assert not out.exists()
+
+    def test_input_parse_p2_huge_dimensions(self, tmp_path):
+        img = tmp_path / "huge.pgm"
+        img.write_bytes(b"P2 100000000000 100000000000 255\n0 1 2\n")
+        proc = run("convert", img, "-o", tmp_path / "x.stl")
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("relieforge: input-parse: truncated pixel data")
 
     def test_output_io_failure(self, tmp_path, logo_pgm):
         proc = run("convert", logo_pgm, "-o", tmp_path / "no-dir" / "x.stl")
@@ -223,6 +251,18 @@ class TestInspect:
         proc = run("inspect", out)
         assert proc.returncode == 3
         assert "input-parse" in proc.stderr and "non-finite" in proc.stderr
+
+
+    def test_ascii_overflow_is_one_line(self, tmp_path, logo_pgm):
+        out = tmp_path / "x.stl"
+        run("convert", logo_pgm, "-o", out, "--ascii")
+        text = out.read_text()
+        first_vertex = text.index("vertex ")
+        out.write_text(text[:first_vertex] + "vertex 1e39" + text[text.index(" ", first_vertex + 7):])
+        proc = run("inspect", out)
+        assert proc.returncode == 3
+        assert proc.stderr.splitlines() == [proc.stderr.strip()]
+        assert "non-finite vertex '1e39" in proc.stderr
 
 
 class TestPreview:

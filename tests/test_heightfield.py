@@ -124,6 +124,13 @@ class TestHeightGrid:
         with pytest.raises(GeometryError, match="finite"):
             HeightGrid.from_spacing(np.array([[0.0, 1.0], [bad, 0.0]]))
 
+    def test_rejects_values_beyond_float32(self):
+        with pytest.raises(GeometryError, match="float32"):
+            HeightGrid.from_spacing(np.array([[0.0, 1.0], [1e39, 0.0]]))
+        with pytest.raises(GeometryError, match="float32"):
+            HeightGrid(np.zeros((2, 2)), x=[0.0, 1e39], y=[0.0, 1.0])
+        HeightGrid.from_spacing(np.full((2, 2), 3.4028234e38))  # largest float32s pass
+
     def test_rejects_positions_not_strictly_increasing(self):
         with pytest.raises(GeometryError, match="strictly increasing"):
             HeightGrid(np.zeros((2, 3)), x=[0.0, 1.0, 1.0], y=[0.0, 1.0])

@@ -34,6 +34,13 @@ class TestDecodePgm:
         with pytest.raises(PgmParseError, match="truncated"):
             decode_pgm(b"P2 2 2 255 0 1 2")
 
+    @pytest.mark.parametrize("header", [b"P2 100000000000 100000000000 255\n", b"P2 60000 60000 255\n"])
+    def test_p2_huge_dimensions_are_truncation(self, header):
+        # The samples are counted before anything width*height is allocated.
+        with pytest.raises(PgmParseError, match="truncated pixel data") as e:
+            decode_pgm(header + b"0 1 2")
+        assert e.value.offset == len(header) + 5
+
     def test_bad_magic(self):
         with pytest.raises(PgmParseError, match="P2 or P5"):
             decode_pgm(b"P6 1 1 255 abc")

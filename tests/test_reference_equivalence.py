@@ -1,12 +1,15 @@
-"""The integer-keyed welds against the coordinate-sorting code they replaced.
+"""The whole-array code paths against the loops and sorts they replaced.
 
 read_stl, close_solid and validate find vertex and edge identity by
-sorting integers. The functions here are the earlier implementations,
-which found it with np.unique over float rows and edge codes; they stay
-as oracles, and hypothesis checks that both give the same meshes and
-counts.
+sorting integers; the ASCII STL writer formats each distinct float32
+once, and the ASCII parser checks the grammar in whole-array passes over
+the bytes. The functions here are the earlier implementations -- np.unique
+over float rows and edge codes, a Python loop per facet and per line --
+kept as oracles; hypothesis checks that both give the same meshes,
+counts, bytes and errors.
 """
 
+import io
 import struct
 
 import numpy as np
@@ -15,9 +18,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from relieforge import image_io
 from relieforge.heightfield import HeightGrid
-from relieforge.mesh import DEFAULT_MIN_FEATURE, TriangleMesh, close_solid, validate
-from relieforge.stl_io import read_stl
+from relieforge.image_io import PgmParseError, decode_pgm
+from relieforge.mesh import (
+    DEFAULT_MIN_FEATURE,
+    TriangleMesh,
+    close_solid,
+    face_normals,
+    validate,
+)
+from relieforge.stl_io import AsciiStlError, _parse_ascii, read_stl, write_ascii_stl
 
 SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -79,6 +90,87 @@ def close_solid_reference(g: HeightGrid, base_z: float = 0.0) -> TriangleMesh:
     areas = 0.5 * np.linalg.norm(np.cross(v1 - v0, v2 - v0), axis=1)
     keep = areas >= DEFAULT_MIN_FEATURE * DEFAULT_MIN_FEATURE * 1e-6
     return TriangleMesh(vertices, triangles[keep], int(np.count_nonzero(~keep)))
+
+
+def write_ascii_reference(mesh: TriangleMesh, name: str = "relieforge") -> bytes:
+    """ASCII STL, one facet at a time, formatting every number on its own."""
+
+    def fmt(value):
+        return str(np.float32(value))
+
+    corners = mesh.vertices[mesh.triangles]
+    lines = [f"solid {name}"]
+    for tri, normal in zip(corners, face_normals(corners)):
+        lines.append("  facet normal " + " ".join(fmt(v) for v in normal))
+        lines.append("    outer loop")
+        for vertex in tri:
+            lines.append("      vertex " + " ".join(fmt(v) for v in vertex))
+        lines.append("    endloop")
+        lines.append("  endfacet")
+    lines.append(f"endsolid {name}")
+    lines.append("")
+    return "\n".join(lines).encode("ascii")
+
+
+def parse_ascii_reference(data: bytes) -> np.ndarray:
+    """The (T, 3, 3) float32 corners of ASCII STL text, read line by line."""
+    try:
+        text = data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise AsciiStlError("not decodable as ASCII text", line=data[: exc.start].count(b"\n") + 1)
+    stream = ((n, raw.split()) for n, raw in enumerate(text.splitlines(), start=1) if raw.split())
+
+    def take(last):
+        try:
+            return next(stream)
+        except StopIteration:
+            raise AsciiStlError("unexpected end of file inside solid", line=last) from None
+
+    def expect(tokens, lineno, *words):
+        if [w.lower() for w in tokens[: len(words)]] != list(words):
+            raise AsciiStlError(f"expected '{' '.join(words)}', got '{' '.join(tokens)}'", line=lineno)
+
+    def floats(tokens, lineno, start):
+        if len(tokens) != start + 3:
+            raise AsciiStlError(
+                f"expected 3 numbers, got '{' '.join(tokens[start:])}'", line=lineno
+            )
+        out = []
+        for tok in tokens[start:]:
+            try:
+                out.append(float(np.float32(tok)))
+            except ValueError:
+                raise AsciiStlError(f"bad number '{tok}'", line=lineno) from None
+        return out
+
+    lineno, tokens = take(0)
+    expect(tokens, lineno, "solid")
+    corners = []
+    with np.errstate(over="ignore"):
+        while True:
+            lineno, tokens = take(lineno)
+            if tokens[0].lower() == "endsolid":
+                break
+            expect(tokens, lineno, "facet", "normal")
+            floats(tokens, lineno, 2)
+            lineno, tokens = take(lineno)
+            expect(tokens, lineno, "outer", "loop")
+            for _ in range(3):
+                lineno, tokens = take(lineno)
+                expect(tokens, lineno, "vertex")
+                xyz = floats(tokens, lineno, 1)
+                if not np.isfinite(xyz).all():
+                    raise AsciiStlError(
+                        f"non-finite vertex '{' '.join(tokens[1:])}'", line=lineno
+                    )
+                corners.append(xyz)
+            lineno, tokens = take(lineno)
+            expect(tokens, lineno, "endloop")
+            lineno, tokens = take(lineno)
+            expect(tokens, lineno, "endfacet")
+    for extra_lineno, extra in stream:
+        raise AsciiStlError(f"content after endsolid: '{' '.join(extra)}'", line=extra_lineno)
+    return np.asarray(corners, dtype=np.float32).reshape(-1, 3, 3)
 
 
 def edge_counts_reference(t: np.ndarray, nv: int) -> dict:
@@ -235,3 +327,207 @@ def test_validate_random_index_meshes_match_reference(case):
     nv, triangles = case
     mesh = TriangleMesh(np.random.default_rng(nv).uniform(size=(nv, 3)), triangles)
     assert report_counts(mesh) == edge_counts_reference(triangles, nv)
+
+
+# ---------------------------------------------------------------------------
+# ASCII STL writer
+
+
+# Signed zeros, subnormals, repeats, the float32 edge and values that
+# round to it or past it (those print as inf).
+ASCII_COORD = st.one_of(
+    st.sampled_from(
+        [0.0, -0.0, 1.0, -1.0, 0.1, 1e-45, -1e-40, 2.0**-126, 3.4028235e38, -3.4028235e38,
+         3.4028235677973366e38, 1e39, 123456.789]
+    ),
+    st.floats(-1e6, 1e6),
+    st.floats(width=32, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def soup_meshes(draw, min_triangles=0, max_triangles=12):
+    nv = draw(st.integers(1, 8))
+    vertices = draw(arrays(np.float64, (nv, 3), elements=ASCII_COORD))
+    count = draw(st.integers(min_triangles, max_triangles))
+    triangles = draw(arrays(np.int64, (count, 3), elements=st.integers(0, nv - 1)))
+    return TriangleMesh(vertices, triangles)
+
+
+@SETTINGS
+@given(soup_meshes(), st.sampled_from(["relieforge", "x", ""]))
+def test_ascii_writer_matches_reference(mesh, name):
+    buf = io.BytesIO()
+    with np.errstate(over="ignore", invalid="ignore"):
+        written = write_ascii_stl(mesh, buf, name=name)
+        expected = write_ascii_reference(mesh, name=name)
+    assert buf.getvalue() == expected
+    assert written == len(expected)
+
+
+def test_ascii_writer_spans_blocks():
+    g = HeightGrid.from_spacing(np.random.default_rng(5).uniform(0.5, 3.0, size=(120, 150)))
+    mesh = close_solid(g)
+    assert mesh.triangle_count > 1 << 15  # more than one formatting block
+    buf = io.BytesIO()
+    write_ascii_stl(mesh, buf)
+    assert buf.getvalue() == write_ascii_reference(mesh)
+
+
+# ---------------------------------------------------------------------------
+# ASCII STL parser
+
+
+BREAKS = ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e"]
+BLANKS = ["", " ", "\t", "  \x1f "]
+WORDS = ["squid", "1_0", "_1", "nan", "-inf", "Infinity", "1e39", "-1e39", "3.4028236e38",
+         "1e-46", "0x1", "1e", "+.5", "1.", "1\x00", "endsolid", "vertex", "1 2"]
+
+
+@st.composite
+def mutated_ascii(draw):
+    mesh = draw(soup_meshes(min_triangles=1, max_triangles=4))
+    with np.errstate(over="ignore", invalid="ignore"):
+        lines = write_ascii_reference(mesh).decode("ascii").split("\n")[:-1]
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(
+            ["delete", "duplicate", "swap", "blank", "upper", "extra", "drop", "number", "number",
+             "cut", "trail"]
+        ))
+        i = draw(st.integers(0, len(lines) - 1))
+        if kind == "delete" and len(lines) > 1:
+            del lines[i]
+        elif kind == "duplicate":
+            lines.insert(i, lines[i])
+        elif kind == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif kind == "blank":
+            lines.insert(i, draw(st.sampled_from(BLANKS)))
+        elif kind == "upper":
+            lines[i] = draw(st.sampled_from([str.upper, str.swapcase, str.title]))(lines[i])
+        elif kind == "extra":
+            lines[i] += draw(st.sampled_from([" 1", " junk", "\t0.5 0.5", "\x1fx"]))
+        elif kind == "drop":
+            lines[i] = lines[i].rsplit(None, 1)[0] if lines[i].split() else lines[i]
+        elif kind == "number":
+            tokens = lines[i].split()
+            if tokens:
+                k = draw(st.integers(0, len(tokens) - 1))
+                tokens[k] = draw(st.sampled_from(WORDS))
+                lines[i] = " ".join(tokens)
+        elif kind == "cut":
+            del lines[i + 1 :]
+        elif kind == "trail":
+            lines.append(draw(st.sampled_from(["", "junk", "solid again"])))
+    if draw(st.booleans()):
+        text = draw(st.sampled_from(BREAKS)).join(lines)
+    else:
+        text = "".join(line + draw(st.sampled_from(BREAKS)) for line in lines)
+    data = text.encode("ascii")
+    if draw(st.integers(0, 19)) == 19:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xe9" + data[at:]
+    return data
+
+
+def outcome(parse, data):
+    try:
+        return parse(data)
+    except AsciiStlError as exc:
+        return exc
+
+
+@settings(max_examples=600, deadline=None)
+@given(mutated_ascii())
+@example(b"")
+@example(b"solid")
+@example(b"solid x\n")
+@example(b"solid x\nendsolid x\n  \nendsolid x\n")
+@example(b"solid x\r\n\r\nendsolid\r")
+@example(b"SOLID x\nEndSolid")
+@example(b"solidx\nendsolid x\n")
+@example(b"solid\x00\nendsolid\n")
+@example(b"solid x\nendsolidx\nendsolid\n")  # keyword prefix of a longer word
+@example(b"solid x\nfacet normal squid 0 0\n")  # first number is the bad one
+def test_ascii_parser_matches_reference(data):
+    expected = outcome(parse_ascii_reference, data)
+    got = outcome(_parse_ascii, data)
+    if isinstance(expected, AsciiStlError):
+        assert isinstance(got, AsciiStlError), got
+        assert (got.line, str(got)) == (expected.line, str(expected))
+    else:
+        assert not isinstance(got, AsciiStlError), got
+        soup = got.vertices[got.triangles]
+        assert np.array_equal(soup, expected.astype(np.float64))
+
+
+def test_ascii_parser_long_and_nul_tokens():
+    # Long tokens get their own field width; a NUL in a number is an error.
+    head = "solid t\nfacet normal 0 0 1\nouter loop\n"
+    tail = "endloop\nendfacet\nendsolid t\n"
+    long_number = "0." + "0" * 5000 + "1"
+    for body, line in [
+        (f"vertex {long_number} 0 0\nvertex 1 0 0\nvertex 0 1 0\n", None),
+        ("vertex 0 0 0\nvertex 1 0 0\nvertex 0 1 0\x00\n", 6),
+        (f"vertex 0 0 0\nvertex 1 0 {'9' * 60}\nvertex 0 1 0\n", 5),
+        # 16 bytes with a trailing NUL: its field must still end in a space.
+        ("vertex 0 0 0\nvertex 1 0 0\nvertex 0 1 0.0000000000001\x00\n", 6),
+    ]:
+        data = (head + body + tail).encode("ascii")
+        expected, got = outcome(parse_ascii_reference, data), outcome(_parse_ascii, data)
+        if line is None:
+            assert np.array_equal(got.vertices[got.triangles], expected.astype(np.float64))
+        else:
+            assert got.line == expected.line == line
+            assert str(got) == str(expected)
+
+
+# ---------------------------------------------------------------------------
+# P2 samples
+
+
+def decode_p2_reference(data: bytes) -> np.ndarray:
+    """P2 samples as int64, read one token at a time."""
+    width, _, pos = image_io._read_int(data, 2, "width")
+    height, _, pos = image_io._read_int(data, pos, "height")
+    maxval, _, pos = image_io._read_int(data, pos, "maxval")
+    count = width * height
+    raw = np.empty(count, dtype=np.int64)
+    for i in range(count):
+        try:
+            tok, start, pos = image_io._read_token(data, pos, f"sample {i}")
+        except PgmParseError:
+            raise PgmParseError(
+                f"truncated pixel data: expected {count} samples, found {i}", len(data)
+            ) from None
+        if not tok.isdigit():
+            raise PgmParseError(f"malformed sample: {tok!r}", start)
+        if int(tok) > maxval:
+            raise PgmParseError(f"sample {int(tok)} exceeds maxval {maxval}", start)
+        raw[i] = int(tok)
+    return raw
+
+
+P2_PIECES = ["0", "7", "255", "256", "007", "000300", "1" * 7, "x", "-1", "1a", "#c", "#\n",
+             " ", "\t", "\n", "\r", "\v", "\f", "\x1c"]
+
+
+@SETTINGS
+@given(
+    st.integers(1, 4),
+    st.integers(1, 3),
+    st.sampled_from([1, 255, 300]),
+    st.lists(st.sampled_from(P2_PIECES), max_size=30),
+)
+def test_p2_samples_match_reference(width, height, maxval, pieces):
+    data = f"P2 {width} {height} {maxval}\n".encode() + " ".join(pieces).encode()
+    try:
+        expected = decode_p2_reference(data)
+    except PgmParseError as exc:
+        with pytest.raises(PgmParseError) as got:
+            decode_pgm(data)
+        assert (str(got.value), got.value.offset) == (str(exc), exc.offset)
+    else:
+        got = decode_pgm(data).samples.reshape(-1)
+        assert np.array_equal(got, expected / maxval)
