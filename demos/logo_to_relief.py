@@ -27,7 +27,8 @@ print(heights.values)
 
 # --- 3. pin the footprint to physical units --------------------------
 sized, clamped = rf.assign_extent(heights, rf.PhysicalExtent(width_mm=80.0, depth_mm=28.0))
-print(f"\nspacing: dx={sized.dx} mm, dy={sized.dy} mm, clamped={clamped}")
+dx, dy = sized.x[1] - sized.x[0], sized.y[1] - sized.y[0]
+print(f"\nspacing: dx={dx} mm, dy={dy} mm, clamped={clamped}")
 
 # --- 4. close into a solid and sanity-check --------------------------
 mesh = rf.close_solid(sized)

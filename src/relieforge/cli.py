@@ -24,7 +24,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -116,23 +116,8 @@ class RunReport:
         )
 
     def to_json(self) -> str:
-        payload = {
-            "vertices": self.vertices,
-            "triangles": self.triangles,
-            "edges": self.edges,
-            "euler": self.euler,
-            "watertight": self.watertight,
-            "volume_mm3": self.volume_mm3,
-            "area_mm2": self.area_mm2,
-            "bbox_mm": self.bbox_mm,
-            "degenerate": self.degenerate,
-            "boundary_edges": self.boundary_edges,
-            "warnings": self.warnings,
-            "input_px": self.input_px,
-            "transfer": self.transfer,
-            "elapsed_ms": self.elapsed_ms,
-        }
-        return json.dumps(payload, indent=2)
+        """The report as JSON, keys in field order."""
+        return json.dumps(asdict(self), indent=2)
 
 
 def _read_bytes(path: str) -> bytes:
@@ -390,10 +375,11 @@ def main(argv: list[str] | None = None) -> int:
             report = convert(cfg)
             _emit_report(report, cfg.report_path)
             _summarize("convert", cfg.output_path, report)
-            # Padding collapses the border walls by construction, so the
-            # honest degenerate/watertight flags are expected there and
-            # already surfaced as a warning; without --pad they are hard
-            # failures.
+            # A border on the base plane collapses the walls, and the two
+            # corner cells whose split puts a whole triangle on the border
+            # share that triangle between top and base, which leaves two
+            # non-manifold edges. --pad asks for such a border, so it
+            # excuses both flags; without --pad they are hard failures.
             if not cfg.pad and not (report.watertight and report.degenerate == 0):
                 why = "not watertight" if not report.watertight else "degenerate triangles"
                 print(f"{_PROG}: geometry: {why}", file=sys.stderr)

@@ -7,7 +7,7 @@ construction and every operation is pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,16 +74,14 @@ class HeightGrid:
     the type STL files store.
 
     ``x[c]``/``y[r]`` are the strictly increasing mm coordinates of
-    column c / row r; ``dx`` and ``dy`` are the nominal spacings
-    (extent / (n - 1)). Positions are held explicitly so the grid's outer
-    edge lands exactly on the requested extent.
+    column c / row r; cell widths are ``np.diff(x)`` and ``np.diff(y)``.
+    Positions are held explicitly so the grid's outer edge lands exactly
+    on the requested extent.
     """
 
     heights: np.ndarray
     x: np.ndarray
     y: np.ndarray
-    dx: float = field(default=0.0)
-    dy: float = field(default=0.0)
 
     def __post_init__(self):
         h = np.asarray(self.heights, dtype=np.float64)
@@ -105,12 +103,6 @@ class HeightGrid:
         # identity by coordinates only while no two samples share (x, y).
         if not ((np.diff(x) > 0).all() and (np.diff(y) > 0).all()):
             raise GeometryError("sample positions must be strictly increasing")
-        if not self.dx:
-            self.dx = float(x[1] - x[0])
-        if not self.dy:
-            self.dy = float(y[1] - y[0])
-        if not (self.dx > 0 and self.dy > 0):
-            raise ValueError("sample spacing must be positive")
         self.heights, self.x, self.y = h, x, y
 
     @property
@@ -129,7 +121,7 @@ class HeightGrid:
             raise ValueError("heights must be 2-D")
         x = np.arange(h.shape[1], dtype=np.float64) * dx
         y = np.arange(h.shape[0], dtype=np.float64) * dy
-        return cls(h, x, y, dx=float(dx), dy=float(dy))
+        return cls(h, x, y)
 
 
 def grid_from_image(img: GrayImage, mirror_x: bool = False) -> ScalarGrid:
@@ -173,11 +165,4 @@ def assign_extent(g: ScalarGrid, extent: PhysicalExtent) -> tuple[HeightGrid, in
         heights = np.maximum(heights, 0.0)
     x = np.linspace(0.0, extent.width_mm, g.cols)
     y = np.linspace(0.0, extent.depth_mm, g.rows)
-    grid = HeightGrid(
-        heights.copy(),
-        x,
-        y,
-        dx=extent.width_mm / (g.cols - 1),
-        dy=extent.depth_mm / (g.rows - 1),
-    )
-    return grid, clamped
+    return HeightGrid(heights.copy(), x, y), clamped

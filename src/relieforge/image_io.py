@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import re
+import sys
 import zlib
 from dataclasses import dataclass
 
@@ -251,10 +252,6 @@ def _paeth(a: int, b: int, c: int) -> int:
 
 def _unfilter(raw: bytes, width: int, height: int, nch: int) -> bytearray:
     stride = width * nch
-    if len(raw) != height * (1 + stride):
-        raise PngParseError(
-            f"decompressed image data has {len(raw)} bytes, expected {height * (1 + stride)}", 0
-        )
     out = bytearray(height * stride)
     prev_row = bytes(stride)
     for r in range(height):
@@ -341,19 +338,27 @@ def decode_png(data: bytes) -> RasterImage:
     if interlace != 0:
         raise PngUnsupportedError("interlaced PNG not supported", 28)
 
+    nch = _CHANNELS[color_type]
+    expected = height * (1 + width * nch)
+    if expected >= sys.maxsize:
+        raise PngUnsupportedError(f"{width}x{height} image is too large", 16)
+    # Inflate one byte past what IHDR implies, no more, so a stream that
+    # inflates further is refused without ever being held in memory.
+    inflater = zlib.decompressobj()
     try:
-        raw = zlib.decompress(bytes(idat))
+        raw = inflater.decompress(bytes(idat), expected + 1)
     except zlib.error as e:
         raise PngParseError(f"corrupt compressed stream: {e}", 0) from None
-
-    nch = _CHANNELS[color_type]
+    if len(raw) <= expected and not inflater.eof:
+        raise PngParseError("corrupt compressed stream: incomplete or truncated stream", 0)
+    if len(raw) != expected:
+        size = f"more than {expected}" if len(raw) > expected else len(raw)
+        raise PngParseError(f"decompressed image data has {size} bytes, expected {expected}", 0)
     flat = _unfilter(raw, width, height, nch)
     arr = np.frombuffer(bytes(flat), dtype=np.uint8).reshape(height, width, nch)
     arr = arr.astype(np.float64) / 255.0
 
-    if color_type == 0:
-        samples = arr
-    elif color_type == 2:
+    if color_type in (0, 2):
         samples = arr
     elif color_type == 4:  # gray + alpha over white
         a = arr[:, :, 1:2]

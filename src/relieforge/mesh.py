@@ -7,12 +7,13 @@ perimeter walls to that surface to form a watertight, outward-oriented
 solid. Its vertex identity comes from the grid indices, not from
 comparing coordinates: sample (r, c) is vertex r*cols + c, and a base
 corner is a vertex of its own only where the sample stands above the
-base plane. validate measures any mesh without modifying it.
+base plane, so a wall triangle collapses exactly when two of its corner
+indices coincide. validate measures any mesh without modifying it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,8 +32,8 @@ __all__ = [
     "analytic_volume",
 ]
 
-#: Smallest printable feature size in mm; triangles below the derived
-#: area floor are treated as degenerate.
+#: Smallest printable feature size in mm; validate counts triangles
+#: below the derived area floor as degenerate.
 DEFAULT_MIN_FEATURE = 0.001
 
 
@@ -46,8 +47,9 @@ class TriangleMesh:
 
     Winding is counter-clockwise seen from outside, so the
     face_normals() of a closed solid point out of it.
-    ``degenerate_skipped`` records triangles dropped at build time
-    (zero-area walls from flat borders); parsers leave it 0.
+    ``degenerate_skipped`` counts the wall triangles close_solid leaves
+    out because they collapse where the rim lies on the base plane;
+    parsers leave it 0.
     """
 
     vertices: np.ndarray
@@ -144,18 +146,17 @@ def tessellate_top(g: HeightGrid) -> TriangleMesh:
     return TriangleMesh(_grid_vertices(g, g.heights), _cell_triangles(g.rows, g.cols, flip=False))
 
 
-def close_solid(
-    g: HeightGrid, base_z: float = 0.0, min_feature: float = DEFAULT_MIN_FEATURE
-) -> TriangleMesh:
+def close_solid(g: HeightGrid, base_z: float = 0.0) -> TriangleMesh:
     """Close the height surface into a printable solid.
 
     Adds a base grid congruent to the top at z = base_z (winding
     mirrored, normals -Z-ward) and perimeter walls joining the two rims.
     Sample (r, c) is top vertex r*cols + c. Its base corner is that same
     vertex where h == base_z, and otherwise a vertex of its own, numbered
-    after the top ones in row-major order. Walls of zero height therefore
-    collapse to zero-area triangles; those are skipped and counted in
-    ``degenerate_skipped``. With every height above base_z the result is
+    after the top ones in row-major order. A wall triangle with a
+    repeated corner index has zero height; those are left out by index
+    alone and counted in ``degenerate_skipped``. Every other triangle is
+    kept, however thin, so with every height above base_z the result is
     watertight with outward normals.
     """
     heights = g.heights
@@ -176,35 +177,35 @@ def close_solid(
 
     # Walls: two triangles per rim edge from sample f to sample t, wound
     # so normals face away from the footprint. Fixed side order: south,
-    # north, west, east.
+    # north, west, east. (base[f], base[t], t) collapses where base[t] is
+    # t itself, and (base[f], t, f) where base[f] is f.
     top = np.arange(n).reshape(rows, cols)
     f = np.concatenate([top[0, :-1], top[-1, 1:], top[1:, 0], top[:-1, -1]])
     t = np.concatenate([top[0, 1:], top[-1, :-1], top[:-1, 0], top[1:, -1]])
     wall_tris = np.stack([base[f], base[t], t, base[f], t, f], axis=1).reshape(-1, 3)
+    keep = np.stack([base[t] != t, base[f] != f], axis=1).ravel()
 
     triangles = np.vstack(
         [
             _cell_triangles(rows, cols, flip=False),
             base[_cell_triangles(rows, cols, flip=True)],
-            wall_tris,
+            wall_tris[keep],
         ]
     )
-
-    v0, v1, v2 = (vertices[triangles[:, k]] for k in range(3))
-    areas = 0.5 * np.linalg.norm(_triangle_cross(v0, v1, v2), axis=1)
-    keep = areas >= min_feature * min_feature * 1e-6
-    skipped = int(np.count_nonzero(~keep))
-    return TriangleMesh(vertices, triangles[keep], degenerate_skipped=skipped)
+    skipped = len(keep) - int(np.count_nonzero(keep))
+    return TriangleMesh(vertices, triangles, degenerate_skipped=skipped)
 
 
-def validate(m: TriangleMesh, min_feature: float = DEFAULT_MIN_FEATURE) -> MeshReport:
+def validate(m: TriangleMesh) -> MeshReport:
     """Measure a mesh and decide whether it bounds a printable solid.
 
     Watertight means: at least one triangle, every undirected edge shared
     by exactly two triangles that traverse it in opposite directions, no
     repeated directed edge, and no self-loop edges. Signed volume is the
     divergence-theorem sum over triangles; a closed outward-wound solid
-    yields a positive value.
+    yields a positive value. Triangles with an area below
+    DEFAULT_MIN_FEATURE**2 * 1e-6 (1e-12 mm^2) count as degenerate, as
+    do the ones ``degenerate_skipped`` says were left out.
     """
     t = m.triangles
     tri_count = len(t)
@@ -230,7 +231,7 @@ def validate(m: TriangleMesh, min_feature: float = DEFAULT_MIN_FEATURE) -> MeshR
     v0, v1, v2 = m.corners()
     cross = _triangle_cross(v0, v1, v2)
     areas = 0.5 * np.linalg.norm(cross, axis=1)
-    degenerate = int(np.count_nonzero(areas < min_feature * min_feature * 1e-6))
+    degenerate = int(np.count_nonzero(areas < DEFAULT_MIN_FEATURE * DEFAULT_MIN_FEATURE * 1e-6))
 
     # One sort of the directed edges, keyed (undirected edge, direction):
     # runs of equal undirected codes give each edge's use count, and equal
@@ -283,7 +284,7 @@ def analytic_volume(g: HeightGrid, base_z: float = 0.0) -> float:
     h = g.heights
     if h.min() < base_z:
         raise InvertedSolidError(f"height {h.min()} lies below the base plane z={base_z}")
-    wx = np.diff(g.x)  # actual cell widths, not the nominal dx
+    wx = np.diff(g.x)
     wy = np.diff(g.y)
     cell_area = wy[:, None] * wx[None, :]
     tri_acd = (h[:-1, :-1] + h[1:, :-1] + h[1:, 1:]) / 3.0 - base_z

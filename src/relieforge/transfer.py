@@ -61,10 +61,11 @@ class Segment:
         if self.lo == self.hi and not (self.lo_closed and self.hi_closed):
             raise ValueError(f"degenerate open segment: {self.interval()}")
 
-    def contains(self, x: float) -> bool:
-        above = x > self.lo or (self.lo_closed and x == self.lo)
-        below = x < self.hi or (self.hi_closed and x == self.hi)
-        return above and below
+    def contains(self, x: float | np.ndarray) -> bool | np.ndarray:
+        """Whether x lies in the interval, elementwise for an array."""
+        above = (x > self.lo) | (self.lo_closed & (x == self.lo))
+        below = (x < self.hi) | (self.hi_closed & (x == self.hi))
+        return above & below
 
     def interval(self) -> str:
         lb = "[" if self.lo_closed else "("
@@ -124,9 +125,7 @@ class TransferFunction:
         out = np.empty_like(x)
         seen = np.zeros(x.shape, dtype=bool)
         for seg in self.segments:
-            above = (x > seg.lo) | (seg.lo_closed & (x == seg.lo))
-            below = (x < seg.hi) | (seg.hi_closed & (x == seg.hi))
-            mask = above & below
+            mask = seg.contains(x)
             out[mask] = seg.a * x[mask] + seg.b
             seen |= mask
         if not seen.all():

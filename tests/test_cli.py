@@ -102,6 +102,16 @@ class TestConvert:
         assert any("degenerate" in w for w in rep["warnings"])
         assert rep["triangles"] == 100
 
+    def test_pad_sliver_border_stays_watertight(self, tmp_path, logo_pgm):
+        # A border just above the base plane gives walls below the area
+        # floor; they must stay in the STL instead of leaving holes.
+        out = tmp_path / "p.stl"
+        proc = run("convert", logo_pgm, "-o", out, "--pad", "--pad-value", "1e-13")
+        assert proc.returncode == 0, proc.stderr
+        rep = report_of(proc)
+        assert rep["watertight"] is True and rep["boundary_edges"] == 0
+        assert run("inspect", out).returncode == 0
+
     def test_degenerates_without_pad_fail(self, tmp_path, logo_pgm):
         # A transfer that sends the light border to height 0 collapses
         # the walls just like padding does, but without --pad that is an

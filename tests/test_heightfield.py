@@ -71,11 +71,13 @@ class TestAssignExtent:
         hg, clamped = assign_extent(
             ScalarGrid(np.zeros((2, 2))), PhysicalExtent(80.0, 28.0)
         )
-        assert hg.dx == 80.0 and hg.dy == 28.0 and clamped == 0
+        assert np.array_equal(np.diff(hg.x), [80.0]) and np.array_equal(np.diff(hg.y), [28.0])
+        assert clamped == 0
 
     def test_fencepost_spacing(self):
         hg, _ = assign_extent(ScalarGrid(np.zeros((3, 5))), PhysicalExtent(80.0, 28.0))
-        assert hg.dx == 20.0 and hg.dy == 14.0
+        assert np.array_equal(np.diff(hg.x), [20.0] * 4)
+        assert np.array_equal(np.diff(hg.y), [14.0] * 2)
 
     def test_too_small(self):
         with pytest.raises(GridTooSmallError):

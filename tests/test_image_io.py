@@ -1,7 +1,12 @@
+import struct
+import tracemalloc
+import zlib
+
 import numpy as np
 import pytest
 
 from relieforge.image_io import (
+    PNG_SIGNATURE,
     GrayImage,
     PgmParseError,
     PngParseError,
@@ -13,7 +18,7 @@ from relieforge.image_io import (
     to_grayscale,
 )
 
-from conftest import make_pgm, make_png, make_png_filtered
+from conftest import _chunk, make_pgm, make_png, make_png_filtered
 
 
 class TestDecodePgm:
@@ -163,6 +168,47 @@ class TestDecodePng:
         )
         with pytest.raises(PngParseError, match="corrupt"):
             decode_png(bad)
+
+    def test_decompression_bomb_refused_in_bounded_memory(self):
+        # A 1x1 gray image needs 2 inflated bytes; this IDAT inflates to
+        # 64 MiB from about 65 KB.
+        deflate = zlib.compressobj(9)
+        idat = b"".join(deflate.compress(bytes(1 << 20)) for _ in range(64)) + deflate.flush()
+        ihdr = struct.pack(">IIBBBBB", 1, 1, 8, 0, 0, 0, 0)
+        data = (
+            PNG_SIGNATURE + _chunk(b"IHDR", ihdr) + _chunk(b"IDAT", idat) + _chunk(b"IEND", b"")
+        )
+        tracemalloc.start()
+        try:
+            with pytest.raises(PngParseError, match="has more than 2 bytes, expected 2"):
+                decode_png(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20
+
+    def test_dimensions_beyond_inflate_bound(self):
+        ihdr = struct.pack(">IIBBBBB", 2**31 - 1, 2**31 - 1, 8, 6, 0, 0, 0)
+        data = (
+            PNG_SIGNATURE
+            + _chunk(b"IHDR", ihdr)
+            + _chunk(b"IDAT", zlib.compress(b"\x00"))
+            + _chunk(b"IEND", b"")
+        )
+        with pytest.raises(PngUnsupportedError, match="too large"):
+            decode_png(data)
+
+    def test_truncated_stream_is_corrupt(self):
+        stream = zlib.compress(b"\x00\x07")
+        ihdr = struct.pack(">IIBBBBB", 1, 1, 8, 0, 0, 0, 0)
+        data = (
+            PNG_SIGNATURE
+            + _chunk(b"IHDR", ihdr)
+            + _chunk(b"IDAT", stream[:-4])
+            + _chunk(b"IEND", b"")
+        )
+        with pytest.raises(PngParseError, match="corrupt compressed stream"):
+            decode_png(data)
 
     def test_against_pillow(self):
         PIL_Image = pytest.importorskip("PIL.Image")

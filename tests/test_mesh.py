@@ -100,6 +100,17 @@ class TestCloseSolid:
         assert mesh.degenerate_skipped == 24  # every wall quad collapses
         assert validate(mesh).degenerate_count == 24
 
+    def test_sliver_walls_kept(self):
+        # Walls 1e-13 mm tall have less area than the degenerate floor,
+        # but they close the solid, so they stay and validate counts them.
+        heights = np.full((4, 4), 1e-13)
+        heights[1:3, 1:3] = 2.0
+        mesh = close_solid(grid(heights))
+        assert mesh.degenerate_skipped == 0
+        rep = validate(mesh)
+        assert rep.watertight and rep.boundary_edge_count == 0
+        assert rep.degenerate_count == 24
+
     def test_deterministic(self):
         g = grid(np.random.default_rng(0).uniform(1, 5, size=(6, 7)))
         a, b = close_solid(g), close_solid(g)
