@@ -375,12 +375,9 @@ def main(argv: list[str] | None = None) -> int:
             report = convert(cfg)
             _emit_report(report, cfg.report_path)
             _summarize("convert", cfg.output_path, report)
-            # A border on the base plane collapses the walls, and the two
-            # corner cells whose split puts a whole triangle on the border
-            # share that triangle between top and base, which leaves two
-            # non-manifold edges. --pad asks for such a border, so it
-            # excuses both flags; without --pad they are hard failures.
-            if not cfg.pad and not (report.watertight and report.degenerate == 0):
+            # --pad asks for a border whose walls collapse on the base
+            # plane, so it excuses degenerate triangles, never a leak.
+            if not report.watertight or (report.degenerate and not cfg.pad):
                 why = "not watertight" if not report.watertight else "degenerate triangles"
                 print(f"{_PROG}: geometry: {why}", file=sys.stderr)
                 return 4

@@ -2,13 +2,14 @@
 
 The top surface splits every cell along its (r,c)->(r+1,c+1) diagonal in
 a fixed row-major order, so output is deterministic and a closed-form
-prism-sum volume oracle exists. close_solid joins a congruent base and
-perimeter walls to that surface to form a watertight, outward-oriented
-solid. Its vertex identity comes from the grid indices, not from
-comparing coordinates: sample (r, c) is vertex r*cols + c, and a base
-corner is a vertex of its own only where the sample stands above the
-base plane, so a wall triangle collapses exactly when two of its corner
-indices coincide. validate measures any mesh without modifying it.
+prism-sum volume oracle exists. close_solid closes that surface with a
+flat base triangulated from the rim alone and perimeter walls, forming a
+watertight, outward-oriented solid. Its vertex identity comes from the
+grid indices, not from comparing coordinates: sample (r, c) is vertex
+r*cols + c, and a rim sample has a base corner of its own only where it
+stands above the base plane, so a wall triangle collapses exactly when
+two of its corner indices coincide. validate measures any mesh without
+modifying it.
 """
 
 from __future__ import annotations
@@ -114,28 +115,18 @@ def _grid_vertices(g: HeightGrid, z: np.ndarray) -> np.ndarray:
     return np.column_stack([xs.ravel(), ys.ravel(), np.asarray(z, dtype=np.float64).ravel()])
 
 
-def _cell_triangles(rows: int, cols: int, flip: bool) -> np.ndarray:
+def _cell_triangles(rows: int, cols: int) -> np.ndarray:
     """Index triples for the grid surface, row-major cells, 2 per cell.
 
     Per cell with corners A=(r,c), B=(r,c+1), C=(r+1,c), D=(r+1,c+1) the
     diagonal is A-D; emission order is (A,B,D) then (A,D,C), which winds
-    counter-clockwise seen from +Z. ``flip`` reverses the winding for a
-    downward-facing base.
+    counter-clockwise seen from +Z.
     """
     r = np.arange(rows - 1).repeat(cols - 1)
     c = np.tile(np.arange(cols - 1), rows - 1)
     a = r * cols + c
-    b = a + 1
-    cc = a + cols
-    d = cc + 1
-    tris = np.empty(((rows - 1) * (cols - 1), 2, 3), dtype=np.int64)
-    if flip:
-        tris[:, 0, 0], tris[:, 0, 1], tris[:, 0, 2] = a, d, b
-        tris[:, 1, 0], tris[:, 1, 1], tris[:, 1, 2] = a, cc, d
-    else:
-        tris[:, 0, 0], tris[:, 0, 1], tris[:, 0, 2] = a, b, d
-        tris[:, 1, 0], tris[:, 1, 1], tris[:, 1, 2] = a, d, cc
-    return tris.reshape(-1, 3)
+    d = a + cols + 1
+    return np.stack([a, a + 1, d, a, d, a + cols], axis=1).reshape(-1, 3)
 
 
 def tessellate_top(g: HeightGrid) -> TriangleMesh:
@@ -143,21 +134,30 @@ def tessellate_top(g: HeightGrid) -> TriangleMesh:
 
     One vertex per sample at (x[c], y[r], h[r,c]); normals face +Z-ward.
     """
-    return TriangleMesh(_grid_vertices(g, g.heights), _cell_triangles(g.rows, g.cols, flip=False))
+    return TriangleMesh(_grid_vertices(g, g.heights), _cell_triangles(g.rows, g.cols))
 
 
 def close_solid(g: HeightGrid, base_z: float = 0.0) -> TriangleMesh:
     """Close the height surface into a printable solid.
 
-    Adds a base grid congruent to the top at z = base_z (winding
-    mirrored, normals -Z-ward) and perimeter walls joining the two rims.
-    Sample (r, c) is top vertex r*cols + c. Its base corner is that same
-    vertex where h == base_z, and otherwise a vertex of its own, numbered
-    after the top ones in row-major order. A wall triangle with a
+    Sample (r, c) is top vertex r*cols + c. The base at z = base_z
+    triangulates the rim polygon alone by zipping two rim chains that
+    run from the SW to the NE corner: ``a`` along the south row and up
+    the east column, ``b`` up the west column and along the north row.
+    Each has n = rows + cols - 2 edges, and the strip (a[k], b[k-1], b[k]),
+    (a[k], b[k], a[k+1]) for 1 <= k <= n-1 gives 2(rows + cols) - 6
+    triangles facing -Z. A rim sample's base corner is that same vertex
+    where h == base_z, and otherwise a vertex of its own, numbered after
+    the top ones in row-major order; interior samples have none. Walls
+    join the two rims along the same chains. A wall triangle with a
     repeated corner index has zero height; those are left out by index
     alone and counted in ``degenerate_skipped``. Every other triangle is
-    kept, however thin, so with every height above base_z the result is
-    watertight with outward normals.
+    kept, however thin. With at least one sample above base_z and
+    cols >= 3 the result is watertight with outward normals; where top
+    samples lie on the base plane the top touches the base. With two
+    columns the zipper uses the row edges, so a row on the base plane
+    pinches the solid there. A grid with no sample above base_z has no
+    volume and raises GeometryError.
     """
     heights = g.heights
     if not abs(base_z) <= FLOAT32_MAX:
@@ -166,32 +166,36 @@ def close_solid(g: HeightGrid, base_z: float = 0.0) -> TriangleMesh:
         raise InvertedSolidError(
             f"height {heights.min()} lies below the base plane z={base_z}"
         )
+    if not heights.max() > base_z:
+        raise GeometryError(f"every height lies on the base plane z={base_z}: no volume")
     rows, cols = g.rows, g.cols
     n = rows * cols
 
-    raised = (heights > base_z).ravel()
+    raised = heights > base_z
+    raised[1:-1, 1:-1] = False
+    raised = raised.ravel()
     base = np.where(raised, n - 1 + np.cumsum(raised), np.arange(n))
     top_vertices = _grid_vertices(g, heights)
     vertices = np.vstack([top_vertices, top_vertices[raised]])
     vertices[n:, 2] = base_z
 
-    # Walls: two triangles per rim edge from sample f to sample t, wound
-    # so normals face away from the footprint. Fixed side order: south,
-    # north, west, east. (base[f], base[t], t) collapses where base[t] is
-    # t itself, and (base[f], t, f) where base[f] is f.
     top = np.arange(n).reshape(rows, cols)
-    f = np.concatenate([top[0, :-1], top[-1, 1:], top[1:, 0], top[:-1, -1]])
-    t = np.concatenate([top[0, 1:], top[-1, :-1], top[:-1, 0], top[1:, -1]])
+    a = np.concatenate([top[0], top[1:, -1]])
+    b = np.concatenate([top[:, 0], top[-1, 1:]])
+    k = np.arange(1, rows + cols - 2)
+    zipper = np.stack([a[k], b[k - 1], b[k], a[k], b[k], a[k + 1]], axis=1).reshape(-1, 3)
+
+    # Walls: two triangles per rim edge from sample f to sample t. The
+    # edges run counter-clockwise seen from +Z, and the triangles are wound
+    # so normals face away from the footprint. (base[f], base[t], t)
+    # collapses where base[t] is t itself, and (base[f], t, f) where
+    # base[f] is f.
+    f = np.concatenate([a[:-1], b[1:]])
+    t = np.concatenate([a[1:], b[:-1]])
     wall_tris = np.stack([base[f], base[t], t, base[f], t, f], axis=1).reshape(-1, 3)
     keep = np.stack([base[t] != t, base[f] != f], axis=1).ravel()
 
-    triangles = np.vstack(
-        [
-            _cell_triangles(rows, cols, flip=False),
-            base[_cell_triangles(rows, cols, flip=True)],
-            wall_tris[keep],
-        ]
-    )
+    triangles = np.vstack([_cell_triangles(rows, cols), base[zipper], wall_tris[keep]])
     skipped = len(keep) - int(np.count_nonzero(keep))
     return TriangleMesh(vertices, triangles, degenerate_skipped=skipped)
 
@@ -200,12 +204,13 @@ def validate(m: TriangleMesh) -> MeshReport:
     """Measure a mesh and decide whether it bounds a printable solid.
 
     Watertight means: at least one triangle, every undirected edge shared
-    by exactly two triangles that traverse it in opposite directions, no
-    repeated directed edge, and no self-loop edges. Signed volume is the
-    divergence-theorem sum over triangles; a closed outward-wound solid
-    yields a positive value. Triangles with an area below
-    DEFAULT_MIN_FEATURE**2 * 1e-6 (1e-12 mm^2) count as degenerate, as
-    do the ones ``degenerate_skipped`` says were left out.
+    by exactly two triangles that traverse it in opposite directions, and
+    no repeated directed edge; a self-loop edge (v, v) always breaks one
+    of these rules. Signed volume is the divergence-theorem sum over
+    triangles; a closed outward-wound solid yields a positive value.
+    Triangles with an area below DEFAULT_MIN_FEATURE**2 * 1e-6
+    (1e-12 mm^2) count as degenerate, as do the ones
+    ``degenerate_skipped`` says were left out.
     """
     t = m.triangles
     tri_count = len(t)
@@ -239,7 +244,6 @@ def validate(m: TriangleMesh) -> MeshReport:
     nv = len(m.vertices)
     a = t.ravel()
     b = t[:, [1, 2, 0]].ravel()
-    self_loops = int(np.count_nonzero(a == b))
     keys = ((np.minimum(a, b) * nv + np.maximum(a, b)) << 1) | (a > b)
     keys.sort()
     directed_dup = bool((keys[1:] == keys[:-1]).any())
@@ -250,12 +254,7 @@ def validate(m: TriangleMesh) -> MeshReport:
     boundary = int(np.count_nonzero(und_counts == 1))
     nonmanifold = int(np.count_nonzero(und_counts > 2))
 
-    watertight = (
-        boundary == 0
-        and nonmanifold == 0
-        and not directed_dup
-        and self_loops == 0
-    )
+    watertight = boundary == 0 and nonmanifold == 0 and not directed_dup
 
     signed_volume = float(np.einsum("ij,ij->", v0, np.cross(v1, v2)) / 6.0)
     return MeshReport(

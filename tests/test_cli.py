@@ -5,6 +5,9 @@ import sys
 import numpy as np
 import pytest
 
+from relieforge import cli
+from relieforge.mesh import TriangleMesh, close_solid
+
 from conftest import make_pgm
 
 CLI = [sys.executable, "-m", "relieforge"]
@@ -97,10 +100,13 @@ class TestConvert:
         proc = run("convert", logo_pgm, "-o", tmp_path / "p.stl", "--pad")
         assert proc.returncode == 0, proc.stderr
         rep = report_of(proc)
-        # 6x6 padded grid: 40 collapsed wall triangles, flagged not hidden
+        # 6x6 padded grid: 40 collapsed wall triangles, flagged not hidden;
+        # 50 top and 18 base triangles remain, and the solid is closed.
         assert rep["degenerate"] == 40
         assert any("degenerate" in w for w in rep["warnings"])
-        assert rep["triangles"] == 100
+        assert rep["triangles"] == 68
+        assert rep["watertight"] is True
+        assert run("inspect", tmp_path / "p.stl").returncode == 0
 
     def test_pad_sliver_border_stays_watertight(self, tmp_path, logo_pgm):
         # A border just above the base plane gives walls below the area
@@ -122,6 +128,15 @@ class TestConvert:
         assert proc.returncode == 4
         assert "geometry" in proc.stderr
         assert report_of(proc)["degenerate"] > 0
+
+    def test_pad_does_not_excuse_a_leak(self, tmp_path, logo_pgm, monkeypatch, capsys):
+        def holed(grid, base_z):
+            mesh = close_solid(grid, base_z=base_z)
+            return TriangleMesh(mesh.vertices, mesh.triangles[:-1], mesh.degenerate_skipped)
+
+        monkeypatch.setattr(cli, "close_solid", holed)
+        assert cli.main(["convert", str(logo_pgm), "-o", str(tmp_path / "p.stl"), "--pad"]) == 4
+        assert capsys.readouterr().err.endswith("relieforge: geometry: not watertight\n")
 
     def test_mirror_x_reverses_columns(self, tmp_path):
         px = np.array([[0, 128, 255], [0, 128, 255]], dtype=np.uint8)
@@ -182,6 +197,17 @@ class TestExitCodes:
         proc = run("convert", logo_pgm, "--transfer", tf_path, "-o", tmp_path / "x.stl")
         assert proc.returncode == 4
         assert proc.stderr == "relieforge: geometry: heights must be finite\n"
+
+    @pytest.mark.parametrize("pad", [[], ["--pad"]])
+    def test_geometry_no_volume(self, tmp_path, logo_pgm, pad):
+        tf_path = tmp_path / "zero.tf"
+        tf_path.write_text("[0.0,1.0] => 0.0\n")
+        out = tmp_path / "x.stl"
+        proc = run("convert", logo_pgm, "--transfer", tf_path, "-o", out, *pad)
+        assert proc.returncode == 4
+        assert proc.stderr.splitlines() == [proc.stderr.strip()]
+        assert proc.stderr.startswith("relieforge: geometry:") and "no volume" in proc.stderr
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag", ["--scale", "--width-mm", "--depth-mm", "--pad-value", "--base-z"])
     @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])

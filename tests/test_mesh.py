@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from relieforge.errors import GeometryError
 from relieforge.heightfield import HeightGrid
 from relieforge.mesh import (
     InvertedSolidError,
@@ -68,7 +72,8 @@ class TestCloseSolid:
 
     def test_3x3_constant(self):
         rep = validate(close_solid(grid(np.full((3, 3), 2.5))))
-        assert rep.vertex_count == 18 and rep.triangle_count == 32
+        # 9 top + 8 rim base vertices; 8 top + 6 base + 16 wall triangles
+        assert rep.vertex_count == 17 and rep.triangle_count == 30
         assert rep.signed_volume == 4 * 2.5
         assert rep.euler_characteristic == 2 and rep.watertight
 
@@ -86,6 +91,29 @@ class TestCloseSolid:
         # height == base_z is legal; only height < base_z inverts.
         mesh = close_solid(grid([[0.0, 0.0], [0.0, 1.0]]))
         assert mesh.triangle_count > 0
+
+    def test_no_volume_rejected(self):
+        with pytest.raises(GeometryError, match="no volume"):
+            close_solid(grid(np.full((3, 4), 2.0)), base_z=2.0)
+
+    def test_interior_on_base_plane_closes(self):
+        # The top touches the base inside the rim, but shares no edge with it.
+        heights = np.full((5, 5), 1.0)
+        heights[1:4, 1:4] = 0.0
+        g = grid(heights)
+        rep = validate(close_solid(g))
+        assert rep.watertight and rep.euler_characteristic == 2
+        assert rep.vertex_count == 25 + 16
+        assert rep.signed_volume == pytest.approx(analytic_volume(g), rel=1e-12)
+
+    def test_two_columns_pinched_on_base_plane(self):
+        # With cols == 2 every sample is on the rim, and the base zipper
+        # uses the row edges. A row on the base plane puts its row edge in
+        # two top and two base triangles: the solid is pinched there.
+        g = grid([[1.0, 1.0], [0.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
+        rep = validate(close_solid(g))
+        assert not rep.watertight
+        assert rep.nonmanifold_edge_count == 2 and rep.boundary_edge_count == 0
 
     def test_nonzero_base_z(self):
         rep = validate(close_solid(grid([[3.0, 3.0], [3.0, 3.0]]), base_z=1.0))
@@ -116,6 +144,43 @@ class TestCloseSolid:
         a, b = close_solid(g), close_solid(g)
         assert np.array_equal(a.vertices, b.vertices)
         assert np.array_equal(a.triangles, b.triangles)
+
+
+@st.composite
+def plateau_grids(draw):
+    rows = draw(st.integers(2, 7))
+    cols = draw(st.integers(3, 7))
+    base_z = draw(st.sampled_from([0.0, 0.75, 3.0]))
+    # Offsets of 0 put plateaus on the base plane, whose walls collapse.
+    levels = st.sampled_from([0.0, 0.0, 0.25, 1.0, 2.5])
+    offsets = draw(arrays(np.float64, (rows, cols), elements=levels))
+    assume(offsets.max() > 0)
+    steps = st.sampled_from([0.1, 0.5, 1.0, 3.0])
+    x = np.cumsum(draw(arrays(np.float64, cols, elements=steps))) - 0.1
+    y = np.cumsum(draw(arrays(np.float64, rows, elements=steps)))
+    return HeightGrid(base_z + offsets, x, y), base_z
+
+
+@settings(max_examples=200, deadline=None)
+@given(plateau_grids())
+def test_close_solid_counts_and_closure(case):
+    g, base_z = case
+    rows, cols = g.rows, g.cols
+    mesh = close_solid(g, base_z=base_z)
+    rim = np.ones((rows, cols), dtype=bool)
+    rim[1:-1, 1:-1] = False
+    perimeter = 2 * (rows + cols) - 4
+    expected_triangles = (
+        2 * (rows - 1) * (cols - 1) + perimeter - 2 + 2 * perimeter - mesh.degenerate_skipped
+    )
+    assert mesh.triangle_count == expected_triangles
+    assert len(mesh.vertices) == rows * cols + int(np.count_nonzero(g.heights[rim] > base_z))
+    assert np.array_equal(np.unique(mesh.triangles), np.arange(len(mesh.vertices)))
+    rep = validate(mesh)
+    assert rep.watertight and rep.euler_characteristic == 2
+    assert abs(rep.signed_volume - analytic_volume(g, base_z)) <= 1e-9 * max(
+        1.0, abs(rep.signed_volume)
+    )
 
 
 class TestValidate:

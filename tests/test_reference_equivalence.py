@@ -1,12 +1,13 @@
 """The whole-array code paths against the loops and sorts they replaced.
 
-read_stl, close_solid and validate find vertex and edge identity by
-sorting integers; the ASCII STL writer formats each distinct float32
-once, and the ASCII parser checks the grammar in whole-array passes over
-the bytes. The functions here are the earlier implementations -- np.unique
-over float rows and edge codes, a Python loop per facet and per line --
-kept as oracles; hypothesis checks that both give the same meshes,
-counts, bytes and errors.
+read_stl and validate find vertex and edge identity by sorting integers,
+and close_solid by grid index, with a base zipped from the rim instead
+of the oracle's mirrored copy of the grid; the ASCII STL writer formats
+each distinct float32 once, and the ASCII parser checks the grammar in
+whole-array passes over the bytes. The functions here are the earlier
+implementations -- np.unique over float rows and edge codes, a Python
+loop per facet and per line -- kept as oracles; hypothesis checks that
+both give the same meshes, counts, bytes and errors.
 """
 
 import io
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from relieforge import image_io
+from relieforge.errors import GeometryError
 from relieforge.heightfield import HeightGrid
 from relieforge.image_io import PgmParseError, decode_pgm
 from relieforge.mesh import (
@@ -252,18 +254,43 @@ def thin(shape):
     return HeightGrid.from_spacing(heights, dx=0.5, dy=2.0), 0.0
 
 
+def triangle_rows(corners: np.ndarray) -> list:
+    return sorted(tri.tobytes() for tri in corners)
+
+
 @SETTINGS
 @given(grids())
 @example(thin((2, 2)))
 @example(thin((2, 6)))
 @example(thin((6, 2)))
 def test_close_solid_matches_coordinate_weld(case):
+    # The zipper base differs from the oracle's mirrored base; the top and
+    # walls are the same, the base covers the footprint facing -Z, and
+    # no grid that the oracle closes is left open.
     g, base_z = case
+    if not (g.heights > base_z).any():
+        with pytest.raises(GeometryError, match="no volume"):
+            close_solid(g, base_z=base_z)
+        return
     mesh = close_solid(g, base_z=base_z)
     ref = close_solid_reference(g, base_z=base_z)
-    assert len(mesh.vertices) == len(ref.vertices)
     assert mesh.degenerate_skipped == ref.degenerate_skipped
-    assert mesh.vertices[mesh.triangles].tobytes() == ref.vertices[ref.triangles].tobytes()
+    cells = 2 * (g.rows - 1) * (g.cols - 1)
+    zipped = 2 * (g.rows + g.cols) - 6
+    top, base, walls = np.split(mesh.vertices[mesh.triangles], [cells, cells + zipped])
+    ref_corners = ref.vertices[ref.triangles]
+    assert top.tobytes() == ref_corners[:cells].tobytes()
+    assert triangle_rows(walls) == triangle_rows(ref_corners[2 * cells :])
+    assert np.all(base[:, :, 2] == base_z)
+    assert np.array_equal(face_normals(base), np.tile([0.0, 0.0, -1.0], (zipped, 1)))
+    area = 0.5 * np.linalg.norm(np.cross(base[:, 1] - base[:, 0], base[:, 2] - base[:, 0]), axis=1)
+    footprint = (g.x[-1] - g.x[0]) * (g.y[-1] - g.y[0])
+    assert area.sum() == pytest.approx(footprint, rel=1e-12)
+    rep, ref_rep = validate(mesh), validate(ref)
+    assert rep.watertight or not ref_rep.watertight
+    if rep.watertight:
+        assert rep.euler_characteristic == 2
+        assert rep.signed_volume == pytest.approx(ref_rep.signed_volume, rel=1e-9, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
