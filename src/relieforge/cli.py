@@ -5,6 +5,7 @@ Three subcommands:
 ``convert``
     decode -> grayscale -> orient -> transfer x scale -> (pad) ->
     extent -> close solid -> validate -> write STL, then print a report.
+    A solid that fails validation is reported but not written.
 ``inspect``
     parse an existing STL, validate it, print the same report.
 ``preview``
@@ -15,13 +16,17 @@ Reports are a single JSON object on stdout so callers can pipe them
 straight into a JSON parser; the human one-liner goes to stderr. Exit
 codes: 0 success, 2 usage, 3 unreadable/unparsable input, 4 geometry
 failure (including a non-watertight result), 5 output I/O failure.
+Every output file is written beside its path and renamed into place, so
+a failed run leaves no partial file and keeps the one it would replace.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import asdict, dataclass, field
@@ -42,7 +47,15 @@ from .heightfield import (
 from .mesh import MeshReport, close_solid, validate
 from .stl_io import read_stl, write_ascii_stl, write_binary_stl
 
-__all__ = ["PipelineConfig", "RunReport", "convert", "inspect", "preview", "main"]
+__all__ = [
+    "PipelineConfig",
+    "RunReport",
+    "RejectedSolidError",
+    "convert",
+    "inspect",
+    "preview",
+    "main",
+]
 
 _PROG = "relieforge"
 
@@ -120,6 +133,46 @@ class RunReport:
         return json.dumps(asdict(self), indent=2)
 
 
+class RejectedSolidError(GeometryError):
+    """convert built a solid that fails the exit rule and wrote nothing.
+
+    ``report`` measures the rejected solid.
+    """
+
+    def __init__(self, reason: str, report: RunReport):
+        super().__init__(reason)
+        self.report = report
+
+
+def _write_atomically(path: str, write) -> None:
+    """Have ``write(p)`` fill a new file p beside ``path``, then rename it there.
+
+    A run that fails or is interrupted leaves ``path`` as it was; a file
+    it replaces keeps its permission bits. A path to something other than
+    a regular file (a device, a pipe) is written in place, because a
+    rename would replace the node itself. Raises OutputError.
+    """
+    target = os.path.realpath(path)
+    try:
+        if os.path.exists(target) and not os.path.isfile(target):
+            write(path)
+            return
+        directory, name = os.path.split(target)
+        tmp = os.path.join(directory, f".{name}.{os.urandom(4).hex()}.tmp")
+        os.close(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
+        try:
+            write(tmp)
+            if os.path.exists(target):
+                os.chmod(tmp, os.stat(target).st_mode & 0o7777)
+            os.replace(tmp, target)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise OutputError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _read_bytes(path: str) -> bytes:
     try:
         return Path(path).read_bytes()
@@ -175,14 +228,17 @@ def _shape_heights(cfg: PipelineConfig) -> tuple[HeightGrid, list[str], list[int
 
 def _write_stl(mesh, cfg: PipelineConfig) -> None:
     writer = write_ascii_stl if cfg.ascii_format else write_binary_stl
-    try:
-        writer(mesh, cfg.output_path)
-    except OSError as exc:
-        raise OutputError(f"cannot write {cfg.output_path}: {exc}") from exc
+    _write_atomically(cfg.output_path, lambda path: writer(mesh, path))
 
 
 def convert(cfg: PipelineConfig) -> RunReport:
-    """Run the full pipeline and write the STL; report what was built."""
+    """Run the full pipeline and write the STL; report what was built.
+
+    A solid that is not watertight, or that has degenerate triangles
+    without ``pad``, raises RejectedSolidError before anything is
+    written. ``pad`` asks for a border whose walls collapse on the base
+    plane, so it excuses degenerate triangles, never a leak.
+    """
     start = time.perf_counter()
     grid_mm, warnings, input_px, tf_name = _shape_heights(cfg)
     mesh = close_solid(grid_mm, base_z=cfg.base_z)
@@ -190,15 +246,23 @@ def convert(cfg: PipelineConfig) -> RunReport:
     if mesh.degenerate_skipped:
         note = f"{mesh.degenerate_skipped} degenerate wall triangles skipped"
         warnings.append(note + (" (expected with --pad)" if cfg.pad else ""))
+
+    def run_report() -> RunReport:
+        elapsed = (time.perf_counter() - start) * 1000.0
+        return RunReport.from_mesh_report(
+            mesh_report,
+            warnings=warnings,
+            input_px=input_px,
+            transfer=tf_name,
+            elapsed_ms=round(elapsed, 3),
+        )
+
+    if not mesh_report.watertight:
+        raise RejectedSolidError("not watertight", run_report())
+    if mesh_report.degenerate_count and not cfg.pad:
+        raise RejectedSolidError("degenerate triangles", run_report())
     _write_stl(mesh, cfg)
-    elapsed = (time.perf_counter() - start) * 1000.0
-    return RunReport.from_mesh_report(
-        mesh_report,
-        warnings=warnings,
-        input_px=input_px,
-        transfer=tf_name,
-        elapsed_ms=round(elapsed, 3),
-    )
+    return run_report()
 
 
 def inspect(path: str) -> RunReport:
@@ -223,10 +287,8 @@ def preview(cfg: PipelineConfig, out_path: str) -> None:
     normalized = np.zeros_like(h) if span == 0 else (h - h.min()) / span
     # Grid row 0 sits at the south (bottom) edge; PGM rows scan top-down.
     img = image_io.GrayImage(values=normalized[::-1, :])
-    try:
-        Path(out_path).write_bytes(image_io.encode_pgm(img, maxval=255))
-    except OSError as exc:
-        raise OutputError(f"cannot write {out_path}: {exc}") from exc
+    data = image_io.encode_pgm(img, maxval=255)
+    _write_atomically(out_path, lambda path: Path(path).write_bytes(data))
 
 
 def _finite_float(text: str) -> float:
@@ -349,10 +411,7 @@ def _emit_report(report: RunReport, report_path: str | None) -> None:
     text = report.to_json()
     print(text)
     if report_path is not None:
-        try:
-            Path(report_path).write_text(text + "\n")
-        except OSError as exc:
-            raise OutputError(f"cannot write {report_path}: {exc}") from exc
+        _write_atomically(report_path, lambda path: Path(path).write_text(text + "\n"))
 
 
 def _summarize(verb: str, name: str, report: RunReport) -> None:
@@ -372,14 +431,14 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "convert":
             cfg = _config_from_args(args)
-            report = convert(cfg)
+            try:
+                report, rejected = convert(cfg), None
+            except RejectedSolidError as exc:
+                report, rejected = exc.report, exc
             _emit_report(report, cfg.report_path)
             _summarize("convert", cfg.output_path, report)
-            # --pad asks for a border whose walls collapse on the base
-            # plane, so it excuses degenerate triangles, never a leak.
-            if not report.watertight or (report.degenerate and not cfg.pad):
-                why = "not watertight" if not report.watertight else "degenerate triangles"
-                print(f"{_PROG}: geometry: {why}", file=sys.stderr)
+            if rejected is not None:
+                print(f"{_PROG}: geometry: {rejected}", file=sys.stderr)
                 return 4
             return 0
         if args.command == "inspect":

@@ -240,52 +240,122 @@ PNG_SIGNATURE = b"\x89PNG\r\n\x1a\n"
 _CHANNELS = {0: 1, 2: 3, 4: 2, 6: 4}
 
 
-def _paeth(a: int, b: int, c: int) -> int:
-    p = a + b - c
-    pa, pb, pc = abs(p - a), abs(p - b), abs(p - c)
-    if pa <= pb and pa <= pc:
-        return a
-    if pb <= pc:
-        return b
-    return c
+def _paeth(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    # p = a + b - c; pick whichever of a, b, c is nearest p, in that order.
+    pa = b - c
+    pb = a - c
+    pc = np.abs(pa + pb)
+    pa = np.abs(pa)
+    pb = np.abs(pb)
+    return np.where((pa <= pb) & (pa <= pc), a, np.where(pb <= pc, b, c))
 
 
-def _unfilter(raw: bytes, width: int, height: int, nch: int) -> bytearray:
-    stride = width * nch
-    out = bytearray(height * stride)
-    prev_row = bytes(stride)
-    for r in range(height):
-        ftype = raw[r * (1 + stride)]
-        row = bytearray(raw[r * (1 + stride) + 1 : (r + 1) * (1 + stride)])
-        if ftype == 0:
-            pass
-        elif ftype == 1:  # Sub
-            for i in range(nch, stride):
-                row[i] = (row[i] + row[i - nch]) & 0xFF
-        elif ftype == 2:  # Up
-            for i in range(stride):
-                row[i] = (row[i] + prev_row[i]) & 0xFF
-        elif ftype == 3:  # Average
-            for i in range(stride):
-                left = row[i - nch] if i >= nch else 0
-                row[i] = (row[i] + (left + prev_row[i]) // 2) & 0xFF
-        elif ftype == 4:  # Paeth
-            for i in range(stride):
-                left = row[i - nch] if i >= nch else 0
-                upleft = prev_row[i - nch] if i >= nch else 0
-                row[i] = (row[i] + _paeth(left, prev_row[i], upleft)) & 0xFF
-        else:
-            raise PngParseError(f"unknown scanline filter type {ftype}", 0)
-        out[r * stride : (r + 1) * stride] = row
-        prev_row = bytes(row)
-    return out
+def _diagonal_bases(height: int, width: int) -> tuple[np.ndarray, int]:
+    """Where each anti-diagonal of the padded pixel grid starts.
+
+    The (height+1) x (width+1) grid is stored diagonal after diagonal,
+    each in order of its row i, so cell (i, j) sits at base[i + j] + i.
+    Also returns the number of cells.
+    """
+    d = np.arange(height + width + 1)
+    lo = np.maximum(0, d - width)
+    size = np.minimum(height, d) - lo + 1
+    return np.cumsum(size) - size - lo, int(size.sum())
+
+
+def _unfilter(raw: bytes, width: int, height: int, nch: int) -> np.ndarray:
+    """Undo the per-row scanline filters; returns (height, width, nch) uint8.
+
+    Every filter predicts pixel (r, x) from its left (r, x-1), upper
+    (r-1, x) and upper-left (r-1, x-1) neighbours, so all pixels on one
+    anti-diagonal r + x = d depend only on diagonals d-1 and d-2 and are
+    decoded in one numpy step: height + width - 1 steps in all. The
+    zero-padded (height+1) x (width+1) pixel grid is laid out diagonal by
+    diagonal in one flat buffer, so each diagonal and each of its three
+    neighbour runs is a contiguous slice; the buffer is filled by one
+    fancy-index scatter and read out by one gather. Memory is O(width *
+    height) for any shape. Predictors are computed in int16 and stored
+    as uint8, which is the spec's sum modulo 256. A filter type above 4
+    is refused before any row is decoded.
+    """
+    rows = np.frombuffer(raw, dtype=np.uint8).reshape(height, 1 + width * nch)
+    ftypes = rows[:, 0]
+    bad = np.flatnonzero(ftypes > 4)
+    if len(bad):
+        raise PngParseError(f"unknown scanline filter type {ftypes[bad[0]]}", 0)
+
+    # Padded cell (i, j) is image pixel (i-1, j-1); row 0 and column 0
+    # are the zero pixels the filters see beyond the image edge. Whole
+    # pixels move as one nch-byte void item each.
+    base, cells = _diagonal_bases(height, width)
+    pos = np.lib.stride_tricks.sliding_window_view(base[2:], width)[:height]
+    pos = pos + np.arange(1, height + 1)[:, None]
+    pixel = np.dtype((np.void, nch))
+    flat = np.zeros(cells * nch, dtype=np.uint8)
+    flat.view(pixel)[pos] = rows[:, 1:].view(pixel)
+    buf = flat.reshape(-1, nch)
+
+    # Diagonal dd holds padded rows first .. last, image rows first-1 ..
+    # last-1. Their left neighbours start at `left` on diagonal dd-1, the
+    # upper ones a cell earlier, and the upper-left ones at `upleft` on
+    # dd-2. If the rows all use None the diagonal needs no step, and if
+    # they all use Sub or Up, one uint8 add. Otherwise (kind 5 when the
+    # types are mixed) None, Sub, Up and Average are (wa*a + wb*b) >> 1
+    # with per-row weights, and the Paeth rows, if any, are written over.
+    switches = np.concatenate([[0], np.cumsum(ftypes[1:] != ftypes[:-1])])
+    paeths = np.concatenate([[0], np.cumsum(ftypes == 4)])
+    paeth_rows = np.repeat(ftypes[:, None] == 4, nch, axis=1)
+    wa = np.repeat(np.array([0, 2, 0, 1, 0], dtype=np.int16)[ftypes][:, None], nch, axis=1)
+    wb = np.repeat(np.array([0, 0, 2, 1, 0], dtype=np.int16)[ftypes][:, None], nch, axis=1)
+    # Step parameters are made a block of diagonals at a time, as Python
+    # ints, which index fastest; the block bounds the memory they take.
+    for block in range(2, height + width + 1, 1024):
+        dd = np.arange(block, min(block + 1024, height + width + 1))
+        first = np.maximum(1, dd - width)
+        last = np.minimum(height, dd - 1)
+        kinds = np.where(switches[last - 1] == switches[first - 1], ftypes[first - 1], 5)
+        steps = np.stack(
+            [
+                base[dd] + first,
+                last - first + 1,
+                base[dd - 1] + first,
+                base[dd - 2] + first - 1,
+                first - 1,
+                kinds,
+                paeths[last] > paeths[first - 1],
+            ],
+            axis=1,
+        )
+        for at, n, left, upleft, row, kind, has_paeth in steps[kinds != 0].tolist():
+            cur = buf[at : at + n]
+            if kind == 1:
+                cur += buf[left : left + n]
+            elif kind == 2:
+                cur += buf[left - 1 : left - 1 + n]
+            else:
+                a = buf[left : left + n].astype(np.int16)
+                b = buf[left - 1 : left - 1 + n].astype(np.int16)
+                pred = a * wa[row : row + n]
+                pred += b * wb[row : row + n]
+                pred >>= 1
+                if has_paeth:
+                    c = buf[upleft : upleft + n].astype(np.int16)
+                    np.copyto(pred, _paeth(a, b, c), where=paeth_rows[row : row + n])
+                np.add(cur, pred, out=cur, casting="unsafe")
+    return flat.view(pixel)[pos].view(np.uint8).reshape(height, width, nch)
 
 
 def decode_png(data: bytes) -> RasterImage:
     """Decode an 8-bit gray/RGB PNG; alpha is composited over white.
 
+    Rows may use any of the five scanline filters. They are undone in a
+    wavefront over the image's anti-diagonals, height + width - 1 numpy
+    steps in O(width * height) memory whatever the shape (see
+    _unfilter). Samples are c / 255 * a + (1 - a) for color c and
+    alpha a / 255, computed in place on the color channels alone.
     Palette, 16-bit, and interlaced files raise PngUnsupportedError;
-    structural damage (bad CRC, corrupt stream) raises PngParseError.
+    structural damage (bad CRC, corrupt stream, unknown filter type)
+    raises PngParseError.
     """
     data = bytes(data)
     if data[:8] != PNG_SIGNATURE:
@@ -354,18 +424,18 @@ def decode_png(data: bytes) -> RasterImage:
     if len(raw) != expected:
         size = f"more than {expected}" if len(raw) > expected else len(raw)
         raise PngParseError(f"decompressed image data has {size} bytes, expected {expected}", 0)
-    flat = _unfilter(raw, width, height, nch)
-    arr = np.frombuffer(bytes(flat), dtype=np.uint8).reshape(height, width, nch)
-    arr = arr.astype(np.float64) / 255.0
-
-    if color_type in (0, 2):
-        samples = arr
-    elif color_type == 4:  # gray + alpha over white
-        a = arr[:, :, 1:2]
-        samples = arr[:, :, 0:1] * a + (1.0 - a)
-    else:  # RGBA over white
-        a = arr[:, :, 3:4]
-        samples = arr[:, :, 0:3] * a + (1.0 - a)
+    pixels = _unfilter(raw, width, height, nch)
+    del raw  # before the float samples are allocated, to lower the peak
+    # Composite in place: the same IEEE operations in the same order as
+    # color * a + (1 - a), without full-size float temporaries.
+    samples = pixels[:, :, : 3 if nch >= 3 else 1].astype(np.float64)
+    samples /= 255.0
+    if color_type in (4, 6):  # alpha over white
+        a = pixels[:, :, nch - 1 :].astype(np.float64)
+        a /= 255.0
+        samples *= a
+        np.subtract(1.0, a, out=a)
+        samples += a
     return RasterImage(samples)
 
 

@@ -152,12 +152,13 @@ def close_solid(g: HeightGrid, base_z: float = 0.0) -> TriangleMesh:
     join the two rims along the same chains. A wall triangle with a
     repeated corner index has zero height; those are left out by index
     alone and counted in ``degenerate_skipped``. Every other triangle is
-    kept, however thin. With at least one sample above base_z and
-    cols >= 3 the result is watertight with outward normals; where top
-    samples lie on the base plane the top touches the base. With two
-    columns the zipper uses the row edges, so a row on the base plane
-    pinches the solid there. A grid with no sample above base_z has no
-    volume and raises GeometryError.
+    kept, however thin. With two columns the zipper would use the top's
+    row edges, so there it starts from ``b`` instead, with each triangle
+    wound the other way; no base edge is then a top edge. With at least
+    one sample above base_z the result is watertight with outward
+    normals; where top samples lie on the base plane the top touches the
+    base. A grid with no sample above base_z has no volume and raises
+    GeometryError.
     """
     heights = g.heights
     if not abs(base_z) <= FLOAT32_MAX:
@@ -182,8 +183,11 @@ def close_solid(g: HeightGrid, base_z: float = 0.0) -> TriangleMesh:
     top = np.arange(n).reshape(rows, cols)
     a = np.concatenate([top[0], top[1:, -1]])
     b = np.concatenate([top[:, 0], top[-1, 1:]])
+    za, zb = (b, a) if cols == 2 else (a, b)
     k = np.arange(1, rows + cols - 2)
-    zipper = np.stack([a[k], b[k - 1], b[k], a[k], b[k], a[k + 1]], axis=1).reshape(-1, 3)
+    zipper = np.stack([za[k], zb[k - 1], zb[k], za[k], zb[k], za[k + 1]], axis=1).reshape(-1, 3)
+    if cols == 2:
+        zipper = zipper[:, ::-1]
 
     # Walls: two triangles per rim edge from sample f to sample t. The
     # edges run counter-clockwise seen from +Z, and the triangles are wound

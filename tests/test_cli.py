@@ -1,6 +1,9 @@
 import json
+import os
+import stat
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -124,10 +127,17 @@ class TestConvert:
         # error, not a warning.
         tf_path = tmp_path / "zero-border.tf"
         tf_path.write_text("[0.0,0.5) => 1.0\n[0.5,1.0] => 0.0\n")
-        proc = run("convert", logo_pgm, "-o", tmp_path / "x.stl", "--transfer", tf_path)
+        out = tmp_path / "x.stl"
+        out.write_bytes(b"earlier STL")
+        proc = run("convert", logo_pgm, "-o", out, "--transfer", tf_path, "--report", tmp_path / "r.json")
         assert proc.returncode == 4
-        assert "geometry" in proc.stderr
+        assert proc.stderr.endswith("relieforge: geometry: degenerate triangles\n")
         assert report_of(proc)["degenerate"] > 0
+        # The rejected solid is reported, never written.
+        assert json.loads((tmp_path / "r.json").read_text()) == report_of(proc)
+        assert out.read_bytes() == b"earlier STL"
+        names = sorted(p.name for p in tmp_path.iterdir())
+        assert names == ["logo.pgm", "r.json", "x.stl", "zero-border.tf"]
 
     def test_pad_does_not_excuse_a_leak(self, tmp_path, logo_pgm, monkeypatch, capsys):
         def holed(grid, base_z):
@@ -136,7 +146,37 @@ class TestConvert:
 
         monkeypatch.setattr(cli, "close_solid", holed)
         assert cli.main(["convert", str(logo_pgm), "-o", str(tmp_path / "p.stl"), "--pad"]) == 4
-        assert capsys.readouterr().err.endswith("relieforge: geometry: not watertight\n")
+        out, err = capsys.readouterr()
+        assert err.endswith("relieforge: geometry: not watertight\n")
+        assert json.loads(out)["watertight"] is False
+        assert not (tmp_path / "p.stl").exists()
+
+    def test_failed_write_keeps_existing_output(self, tmp_path, logo_pgm, monkeypatch, capsys):
+        def write_half(mesh, path):
+            with open(path, "wb") as fh:
+                fh.write(b"half an STL")
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli, "write_binary_stl", write_half)
+        out = tmp_path / "x.stl"
+        out.write_bytes(b"earlier STL")
+        assert cli.main(["convert", str(logo_pgm), "-o", str(out)]) == 5
+        assert capsys.readouterr().err.endswith(
+            f"relieforge: output-io: cannot write {out}: No space left on device\n"
+        )
+        assert out.read_bytes() == b"earlier STL"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["logo.pgm", "x.stl"]
+
+    def test_replaced_output_keeps_its_mode_and_links(self, tmp_path, logo_pgm):
+        real = tmp_path / "real.stl"
+        real.write_bytes(b"earlier STL")
+        real.chmod(0o640)
+        link = tmp_path / "link.stl"
+        link.symlink_to(real)
+        proc = run("convert", logo_pgm, "-o", link)
+        assert proc.returncode == 0, proc.stderr
+        assert link.is_symlink() and real.stat().st_size == 84 + 50 * report_of(proc)["triangles"]
+        assert real.stat().st_mode & 0o777 == 0o640
 
     def test_mirror_x_reverses_columns(self, tmp_path):
         px = np.array([[0, 128, 255], [0, 128, 255]], dtype=np.uint8)
@@ -302,6 +342,20 @@ class TestInspect:
 
 
 class TestPreview:
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_pipe_output_written_in_place(self, tmp_path, logo_pgm):
+        # Renaming a file over a pipe or device would replace the node.
+        fifo = tmp_path / "view.pgm"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        proc = run("preview", logo_pgm, "-o", fifo)
+        reader.join(timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+        assert got and got[0].startswith(b"P5\n4 4\n255\n")
+
     def test_two_level_image_maps_to_full_range(self, tmp_path, logo_pgm):
         out = tmp_path / "p.pgm"
         assert run("preview", logo_pgm, "-o", out).returncode == 0

@@ -19,6 +19,7 @@ from relieforge.image_io import (
 )
 
 from conftest import _chunk, make_pgm, make_png, make_png_filtered
+from test_reference_equivalence import samples_reference, scanlines, unfilter_reference
 
 
 class TestDecodePgm:
@@ -209,6 +210,43 @@ class TestDecodePng:
         )
         with pytest.raises(PngParseError, match="corrupt compressed stream"):
             decode_png(data)
+
+    def test_unknown_filter_type_on_first_row(self):
+        rows = [(5, bytes([1, 2])), (0, bytes([3, 4])), (9, bytes([5, 6]))]
+        with pytest.raises(PngParseError, match=r"^unknown scanline filter type 5 \(at byte 0\)$"):
+            decode_png(make_png_filtered(2, 3, 0, rows))
+
+    def test_unknown_filter_type_on_last_row_after_paeth_rows(self):
+        # Checked for every row before any row is unfiltered; the first
+        # bad row names the type.
+        rows = [(4, bytes([9, 8, 7]))] * 3 + [(255, bytes(3))]
+        with pytest.raises(PngParseError, match=r"^unknown scanline filter type 255 \(at byte 0\)$"):
+            decode_png(make_png_filtered(1, 4, 2, rows))
+
+    @pytest.mark.parametrize("width, height", [(40000, 1), (1, 40000)])
+    def test_one_pixel_wide_images_in_linear_memory(self, width, height):
+        # The wavefront runs width + height - 1 steps over a buffer of
+        # (width + 1) * (height + 1) pixels; a square skew of the grid
+        # would need 40000x the pixel data here.
+        rng = np.random.default_rng(width)
+        rows = [
+            (int(rng.integers(0, 5)), rng.integers(0, 256, width * 4, dtype=np.uint8).tobytes())
+            for _ in range(height)
+        ]
+        data = make_png_filtered(width, height, 6, rows)
+        raw_size = width * height * 4
+        tracemalloc.start()
+        try:
+            samples = decode_png(data).samples
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The float64 samples and alpha alone take 8x the RGBA bytes.
+        assert peak < 32 * raw_size
+        raw = scanlines(rows)
+        pixels = np.frombuffer(unfilter_reference(raw, width, height, 4), dtype=np.uint8)
+        expected = samples_reference(pixels.reshape(height, width, 4), 6)
+        assert np.array_equal(samples.view(np.uint64), expected.view(np.uint64))
 
     def test_against_pillow(self):
         PIL_Image = pytest.importorskip("PIL.Image")

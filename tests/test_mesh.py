@@ -106,14 +106,18 @@ class TestCloseSolid:
         assert rep.vertex_count == 25 + 16
         assert rep.signed_volume == pytest.approx(analytic_volume(g), rel=1e-12)
 
-    def test_two_columns_pinched_on_base_plane(self):
-        # With cols == 2 every sample is on the rim, and the base zipper
-        # uses the row edges. A row on the base plane puts its row edge in
-        # two top and two base triangles: the solid is pinched there.
+    def test_two_columns_not_pinched_on_base_plane(self):
+        # With cols == 2 every sample is on the rim. A base zipped across
+        # the row edges would share a row on the base plane with the top,
+        # four triangles to the edge; the base avoids the top's edges.
         g = grid([[1.0, 1.0], [0.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
-        rep = validate(close_solid(g))
-        assert not rep.watertight
-        assert rep.nonmanifold_edge_count == 2 and rep.boundary_edge_count == 0
+        mesh = close_solid(g)
+        rep = validate(mesh)
+        assert rep.watertight and rep.euler_characteristic == 2
+        assert rep.nonmanifold_edge_count == 0 and rep.boundary_edge_count == 0
+        assert rep.signed_volume == pytest.approx(analytic_volume(g), rel=1e-12)
+        base = mesh.vertices[mesh.triangles[6:12]]  # after 6 top triangles
+        assert np.array_equal(face_normals(base), np.tile([0.0, 0.0, -1.0], (6, 1)))
 
     def test_nonzero_base_z(self):
         rep = validate(close_solid(grid([[3.0, 3.0], [3.0, 3.0]]), base_z=1.0))
@@ -149,7 +153,7 @@ class TestCloseSolid:
 @st.composite
 def plateau_grids(draw):
     rows = draw(st.integers(2, 7))
-    cols = draw(st.integers(3, 7))
+    cols = draw(st.integers(2, 7))
     base_z = draw(st.sampled_from([0.0, 0.75, 3.0]))
     # Offsets of 0 put plateaus on the base plane, whose walls collapse.
     levels = st.sampled_from([0.0, 0.0, 0.25, 1.0, 2.5])

@@ -4,10 +4,12 @@ read_stl and validate find vertex and edge identity by sorting integers,
 and close_solid by grid index, with a base zipped from the rim instead
 of the oracle's mirrored copy of the grid; the ASCII STL writer formats
 each distinct float32 once, and the ASCII parser checks the grammar in
-whole-array passes over the bytes. The functions here are the earlier
-implementations -- np.unique over float rows and edge codes, a Python
-loop per facet and per line -- kept as oracles; hypothesis checks that
-both give the same meshes, counts, bytes and errors.
+whole-array passes over the bytes; the PNG decoder undoes scanline
+filters one anti-diagonal at a time and composites alpha in place. The
+functions here are the earlier implementations -- np.unique over float
+rows and edge codes, a Python loop per facet, per line and per byte --
+kept as oracles; hypothesis checks that both give the same meshes,
+counts, bytes, samples and errors.
 """
 
 import io
@@ -31,6 +33,8 @@ from relieforge.mesh import (
     validate,
 )
 from relieforge.stl_io import AsciiStlError, _parse_ascii, read_stl, write_ascii_stl
+
+from conftest import make_png_filtered
 
 SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -558,3 +562,103 @@ def test_p2_samples_match_reference(width, height, maxval, pieces):
     else:
         got = decode_pgm(data).samples.reshape(-1)
         assert np.array_equal(got, expected / maxval)
+
+
+# ---------------------------------------------------------------------------
+# PNG scanlines
+
+
+def unfilter_reference(raw: bytes, width: int, height: int, nch: int) -> bytearray:
+    """PNG scanlines unfiltered one byte at a time (RFC 2083 section 6)."""
+
+    def paeth(a, b, c):
+        p = a + b - c
+        pa, pb, pc = abs(p - a), abs(p - b), abs(p - c)
+        if pa <= pb and pa <= pc:
+            return a
+        if pb <= pc:
+            return b
+        return c
+
+    stride = width * nch
+    out = bytearray(height * stride)
+    prev_row = bytes(stride)
+    for r in range(height):
+        ftype = raw[r * (1 + stride)]
+        row = bytearray(raw[r * (1 + stride) + 1 : (r + 1) * (1 + stride)])
+        if ftype == 0:
+            pass
+        elif ftype == 1:  # Sub
+            for i in range(nch, stride):
+                row[i] = (row[i] + row[i - nch]) & 0xFF
+        elif ftype == 2:  # Up
+            for i in range(stride):
+                row[i] = (row[i] + prev_row[i]) & 0xFF
+        elif ftype == 3:  # Average
+            for i in range(stride):
+                left = row[i - nch] if i >= nch else 0
+                row[i] = (row[i] + (left + prev_row[i]) // 2) & 0xFF
+        elif ftype == 4:  # Paeth
+            for i in range(stride):
+                left = row[i - nch] if i >= nch else 0
+                upleft = prev_row[i - nch] if i >= nch else 0
+                row[i] = (row[i] + paeth(left, prev_row[i], upleft)) & 0xFF
+        else:
+            raise image_io.PngParseError(f"unknown scanline filter type {ftype}", 0)
+        out[r * stride : (r + 1) * stride] = row
+        prev_row = bytes(row)
+    return out
+
+
+def samples_reference(pixels: np.ndarray, color_type: int) -> np.ndarray:
+    """decode_png's samples from (h, w, nch) uint8 pixels, through full float arrays."""
+    arr = pixels.astype(np.float64) / 255.0
+    if color_type in (0, 2):
+        return arr
+    if color_type == 4:
+        a = arr[:, :, 1:2]
+        return arr[:, :, 0:1] * a + (1.0 - a)
+    a = arr[:, :, 3:4]
+    return arr[:, :, 0:3] * a + (1.0 - a)
+
+
+@st.composite
+def filtered_scanlines(draw, max_side=12, channels=(1, 2, 3, 4)):
+    # Random stored bytes under an independent filter type per row.
+    width = draw(st.integers(1, max_side))
+    height = draw(st.integers(1, max_side))
+    nch = draw(st.sampled_from(channels))
+    rows = [
+        (draw(st.integers(0, 4)), draw(st.binary(min_size=width * nch, max_size=width * nch)))
+        for _ in range(height)
+    ]
+    return width, height, nch, rows
+
+
+def scanlines(rows) -> bytes:
+    return b"".join(bytes([ftype]) + stored for ftype, stored in rows)
+
+
+@SETTINGS
+@given(filtered_scanlines())
+@example((12, 1, 4, [(1, bytes(range(48)))]))
+@example((1, 12, 3, [(k % 5, bytes([200, 100, 50])) for k in range(12)]))
+def test_unfilter_matches_reference(case):
+    width, height, nch, rows = case
+    raw = scanlines(rows)
+    got = image_io._unfilter(raw, width, height, nch)
+    assert got.dtype == np.uint8 and got.shape == (height, width, nch)
+    assert got.tobytes() == bytes(unfilter_reference(raw, width, height, nch))
+
+
+@SETTINGS
+@given(st.sampled_from([0, 2, 4, 6]), st.data())
+def test_png_samples_match_float_reference(color_type, data):
+    case = filtered_scanlines(max_side=6, channels=[image_io._CHANNELS[color_type]])
+    width, height, nch, rows = data.draw(case)
+    raw = scanlines(rows)
+    pixels = np.frombuffer(unfilter_reference(raw, width, height, nch), dtype=np.uint8)
+    expected = samples_reference(pixels.reshape(height, width, nch), color_type)
+    got = image_io.decode_png(make_png_filtered(width, height, color_type, rows)).samples
+    assert got.shape == expected.shape
+    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
