@@ -16,8 +16,9 @@ Reports are a single JSON object on stdout so callers can pipe them
 straight into a JSON parser; the human one-liner goes to stderr. Exit
 codes: 0 success, 2 usage, 3 unreadable/unparsable input, 4 geometry
 failure (including a non-watertight result), 5 output I/O failure.
-Every output file is written beside its path and renamed into place, so
-a failed run leaves no partial file and keeps the one it would replace.
+Every output file is written beside its path, flushed to disk and
+renamed into place, so a failed run leaves no partial file and keeps the
+one it would replace; pipes and devices are written in place.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import contextlib
 import json
 import math
 import os
+import stat
 import sys
 import time
 from dataclasses import asdict, dataclass, field
@@ -145,25 +147,35 @@ class RejectedSolidError(GeometryError):
 
 
 def _write_atomically(path: str, write) -> None:
-    """Have ``write(p)`` fill a new file p beside ``path``, then rename it there.
+    """Have ``write(fh)`` fill a new binary file beside ``path``, then rename it there.
 
-    A run that fails or is interrupted leaves ``path`` as it was; a file
-    it replaces keeps its permission bits. A path to something other than
-    a regular file (a device, a pipe) is written in place, because a
-    rename would replace the node itself. Raises OutputError.
+    The new file is flushed to disk before the rename, so a run that
+    fails, is interrupted or is cut short by a crash leaves ``path``
+    either as it was or complete; a file it replaces keeps its
+    permission bits. A path to something other than a regular file (a
+    device, a pipe, /dev/stdout) is written in place, because a rename
+    would replace the node itself. Raises OutputError.
     """
-    target = os.path.realpath(path)
     try:
-        if os.path.exists(target) and not os.path.isfile(target):
-            write(path)
+        try:
+            mode = os.stat(path).st_mode
+        except FileNotFoundError:
+            mode = None
+        if mode is not None and not stat.S_ISREG(mode):
+            with open(path, "wb") as fh:
+                write(fh)
             return
+        target = os.path.realpath(path)
         directory, name = os.path.split(target)
         tmp = os.path.join(directory, f".{name}.{os.urandom(4).hex()}.tmp")
-        os.close(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
-            write(tmp)
-            if os.path.exists(target):
-                os.chmod(tmp, os.stat(target).st_mode & 0o7777)
+            with os.fdopen(fd, "wb") as fh:
+                write(fh)
+                fh.flush()
+                os.fsync(fh.fileno())
+            if mode is not None:
+                os.chmod(tmp, mode & 0o7777)
             os.replace(tmp, target)
         except BaseException:
             with contextlib.suppress(OSError):
@@ -228,7 +240,7 @@ def _shape_heights(cfg: PipelineConfig) -> tuple[HeightGrid, list[str], list[int
 
 def _write_stl(mesh, cfg: PipelineConfig) -> None:
     writer = write_ascii_stl if cfg.ascii_format else write_binary_stl
-    _write_atomically(cfg.output_path, lambda path: writer(mesh, path))
+    _write_atomically(cfg.output_path, lambda fh: writer(mesh, fh))
 
 
 def convert(cfg: PipelineConfig) -> RunReport:
@@ -288,7 +300,7 @@ def preview(cfg: PipelineConfig, out_path: str) -> None:
     # Grid row 0 sits at the south (bottom) edge; PGM rows scan top-down.
     img = image_io.GrayImage(values=normalized[::-1, :])
     data = image_io.encode_pgm(img, maxval=255)
-    _write_atomically(out_path, lambda path: Path(path).write_bytes(data))
+    _write_atomically(out_path, lambda fh: fh.write(data))
 
 
 def _finite_float(text: str) -> float:
@@ -411,7 +423,7 @@ def _emit_report(report: RunReport, report_path: str | None) -> None:
     text = report.to_json()
     print(text)
     if report_path is not None:
-        _write_atomically(report_path, lambda path: Path(path).write_text(text + "\n"))
+        _write_atomically(report_path, lambda fh: fh.write(f"{text}\n".encode()))
 
 
 def _summarize(verb: str, name: str, report: RunReport) -> None:

@@ -298,12 +298,8 @@ def _unfilter(raw: bytes, width: int, height: int, nch: int) -> np.ndarray:
     # Diagonal dd holds padded rows first .. last, image rows first-1 ..
     # last-1. Their left neighbours start at `left` on diagonal dd-1, the
     # upper ones a cell earlier, and the upper-left ones at `upleft` on
-    # dd-2. If the rows all use None the diagonal needs no step, and if
-    # they all use Sub or Up, one uint8 add. Otherwise (kind 5 when the
-    # types are mixed) None, Sub, Up and Average are (wa*a + wb*b) >> 1
-    # with per-row weights, and the Paeth rows, if any, are written over.
-    switches = np.concatenate([[0], np.cumsum(ftypes[1:] != ftypes[:-1])])
-    paeths = np.concatenate([[0], np.cumsum(ftypes == 4)])
+    # dd-2. None, Sub, Up and Average are (wa*a + wb*b) >> 1 with per-row
+    # weights, and the Paeth rows are written over that.
     paeth_rows = np.repeat(ftypes[:, None] == 4, nch, axis=1)
     wa = np.repeat(np.array([0, 2, 0, 1, 0], dtype=np.int16)[ftypes][:, None], nch, axis=1)
     wb = np.repeat(np.array([0, 0, 2, 1, 0], dtype=np.int16)[ftypes][:, None], nch, axis=1)
@@ -313,7 +309,6 @@ def _unfilter(raw: bytes, width: int, height: int, nch: int) -> np.ndarray:
         dd = np.arange(block, min(block + 1024, height + width + 1))
         first = np.maximum(1, dd - width)
         last = np.minimum(height, dd - 1)
-        kinds = np.where(switches[last - 1] == switches[first - 1], ftypes[first - 1], 5)
         steps = np.stack(
             [
                 base[dd] + first,
@@ -321,27 +316,19 @@ def _unfilter(raw: bytes, width: int, height: int, nch: int) -> np.ndarray:
                 base[dd - 1] + first,
                 base[dd - 2] + first - 1,
                 first - 1,
-                kinds,
-                paeths[last] > paeths[first - 1],
             ],
             axis=1,
         )
-        for at, n, left, upleft, row, kind, has_paeth in steps[kinds != 0].tolist():
+        for at, n, left, upleft, row in steps.tolist():
+            a = buf[left : left + n].astype(np.int16)
+            b = buf[left - 1 : left - 1 + n].astype(np.int16)
+            c = buf[upleft : upleft + n].astype(np.int16)
+            pred = a * wa[row : row + n]
+            pred += b * wb[row : row + n]
+            pred >>= 1
+            np.copyto(pred, _paeth(a, b, c), where=paeth_rows[row : row + n])
             cur = buf[at : at + n]
-            if kind == 1:
-                cur += buf[left : left + n]
-            elif kind == 2:
-                cur += buf[left - 1 : left - 1 + n]
-            else:
-                a = buf[left : left + n].astype(np.int16)
-                b = buf[left - 1 : left - 1 + n].astype(np.int16)
-                pred = a * wa[row : row + n]
-                pred += b * wb[row : row + n]
-                pred >>= 1
-                if has_paeth:
-                    c = buf[upleft : upleft + n].astype(np.int16)
-                    np.copyto(pred, _paeth(a, b, c), where=paeth_rows[row : row + n])
-                np.add(cur, pred, out=cur, casting="unsafe")
+            np.add(cur, pred, out=cur, casting="unsafe")
     return flat.view(pixel)[pos].view(np.uint8).reshape(height, width, nch)
 
 

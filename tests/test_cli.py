@@ -152,9 +152,8 @@ class TestConvert:
         assert not (tmp_path / "p.stl").exists()
 
     def test_failed_write_keeps_existing_output(self, tmp_path, logo_pgm, monkeypatch, capsys):
-        def write_half(mesh, path):
-            with open(path, "wb") as fh:
-                fh.write(b"half an STL")
+        def write_half(mesh, fh):
+            fh.write(b"half an STL")
             raise OSError(28, "No space left on device")
 
         monkeypatch.setattr(cli, "write_binary_stl", write_half)
@@ -177,6 +176,15 @@ class TestConvert:
         assert proc.returncode == 0, proc.stderr
         assert link.is_symlink() and real.stat().st_size == 84 + 50 * report_of(proc)["triangles"]
         assert real.stat().st_mode & 0o777 == 0o640
+
+    def test_output_reaches_disk_before_the_rename(self, tmp_path, logo_pgm, monkeypatch):
+        calls = []
+        fsync, replace = os.fsync, os.replace
+        monkeypatch.setattr(os, "fsync", lambda fd: calls.append(os.fstat(fd).st_size) or fsync(fd))
+        monkeypatch.setattr(os, "replace", lambda a, b: calls.append(b) or replace(a, b))
+        out = tmp_path / "x.stl"
+        assert cli.main(["convert", str(logo_pgm), "-o", str(out)]) == 0
+        assert calls == [out.stat().st_size, os.path.realpath(out)]
 
     def test_mirror_x_reverses_columns(self, tmp_path):
         px = np.array([[0, 128, 255], [0, 128, 255]], dtype=np.uint8)
@@ -355,6 +363,21 @@ class TestPreview:
         assert proc.returncode == 0, proc.stderr
         assert stat.S_ISFIFO(fifo.stat().st_mode)
         assert got and got[0].startswith(b"P5\n4 4\n255\n")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+    def test_stdout_output_through_a_pipe(self, tmp_path, logo_pgm):
+        # /dev/stdout on a pipe resolves to a pipe:[N] name that is no path.
+        assert run("preview", logo_pgm, "-o", tmp_path / "p.pgm").returncode == 0
+        proc = subprocess.run(
+            [*CLI, "preview", str(logo_pgm), "-o", "/dev/stdout"], capture_output=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == (tmp_path / "p.pgm").read_bytes()
+        proc = run("convert", logo_pgm, "-o", tmp_path / "x.stl", "--report", "/dev/stdout")
+        assert proc.returncode == 0, proc.stderr
+        # The printed report and the --report copy, both on the pipe.
+        half = proc.stdout[: len(proc.stdout) // 2]
+        assert proc.stdout == half * 2 and json.loads(half)["watertight"] is True
 
     def test_two_level_image_maps_to_full_range(self, tmp_path, logo_pgm):
         out = tmp_path / "p.pgm"
