@@ -15,7 +15,8 @@ Three subcommands:
 Reports are a single JSON object on stdout so callers can pipe them
 straight into a JSON parser; the human one-liner goes to stderr. Exit
 codes: 0 success, 2 usage, 3 unreadable/unparsable input, 4 geometry
-failure (including a non-watertight result), 5 output I/O failure.
+failure (including a non-watertight result), 5 output I/O failure,
+1 an internal error, reported in one line without a traceback.
 Every output file is written beside its path, flushed to disk and
 renamed into place, so a failed run leaves no partial file and keeps the
 one it would replace; pipes and devices are written in place.
@@ -106,6 +107,7 @@ class RunReport:
     bbox_mm: list[list[float]]
     degenerate: int
     boundary_edges: int
+    nonmanifold_edges: int
     warnings: list[str] = field(default_factory=list)
     input_px: list[int] | None = None
     transfer: str | None = None
@@ -127,6 +129,7 @@ class RunReport:
             ],
             degenerate=mr.degenerate_count,
             boundary_edges=mr.boundary_edge_count,
+            nonmanifold_edges=mr.nonmanifold_edge_count,
             **extra,
         )
 
@@ -238,6 +241,26 @@ def _shape_heights(cfg: PipelineConfig) -> tuple[HeightGrid, list[str], list[int
     return grid_mm, warnings, input_px, tf.name
 
 
+def _check_float32(grid: HeightGrid, base_z: float) -> None:
+    """Refuse a solid whose vertices would merge in the float32 STL file.
+
+    Neighbouring x or y positions that round to one float32 fold cells
+    flat, and a rim sample above the base plane whose height rounds onto
+    it meets its own base corner. Either way the file would not be the
+    watertight solid validate measured in float64. Raises GeometryError.
+    """
+    for axis, positions in (("x", grid.x), ("y", grid.y)):
+        if not (np.diff(positions.astype(np.float32)) > 0).all():
+            raise GeometryError(f"neighbouring {axis} positions coincide in float32")
+    h = grid.heights
+    rim = np.concatenate([h[0], h[-1], h[1:-1, 0], h[1:-1, -1]])
+    rim = rim[rim > base_z]
+    if (rim.astype(np.float32) <= np.float32(base_z)).any():
+        raise GeometryError(
+            f"rim heights above the base plane z={base_z} round onto it in float32"
+        )
+
+
 def _write_stl(mesh, cfg: PipelineConfig) -> None:
     writer = write_ascii_stl if cfg.ascii_format else write_binary_stl
     _write_atomically(cfg.output_path, lambda fh: writer(mesh, fh))
@@ -249,7 +272,9 @@ def convert(cfg: PipelineConfig) -> RunReport:
     A solid that is not watertight, or that has degenerate triangles
     without ``pad``, raises RejectedSolidError before anything is
     written. ``pad`` asks for a border whose walls collapse on the base
-    plane, so it excuses degenerate triangles, never a leak.
+    plane, so it excuses degenerate triangles, never a leak. A solid
+    whose vertices would merge when the file narrows them to float32
+    raises GeometryError, also before anything is written.
     """
     start = time.perf_counter()
     grid_mm, warnings, input_px, tf_name = _shape_heights(cfg)
@@ -273,6 +298,7 @@ def convert(cfg: PipelineConfig) -> RunReport:
         raise RejectedSolidError("not watertight", run_report())
     if mesh_report.degenerate_count and not cfg.pad:
         raise RejectedSolidError("degenerate triangles", run_report())
+    _check_float32(grid_mm, cfg.base_z)
     _write_stl(mesh, cfg)
     return run_report()
 
@@ -475,6 +501,11 @@ def main(argv: list[str] | None = None) -> int:
     except OutputError as exc:
         print(f"{_PROG}: output-io: {exc}", file=sys.stderr)
         return 5
+    except Exception as exc:
+        line = f"{_PROG}: internal: {type(exc).__name__}"
+        detail = " ".join(str(exc).split())
+        print(f"{line}: {detail}" if detail else line, file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

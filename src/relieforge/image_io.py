@@ -438,6 +438,12 @@ def to_grayscale(img: RasterImage) -> GrayImage:
     if img.channels == 1:
         return GrayImage(img.samples[:, :, 0].copy())
     r, g, b = img.samples[:, :, 0], img.samples[:, :, 1], img.samples[:, :, 2]
-    # Sum green+blue first: 0.587 + 0.114 is exactly 0.701 in binary64,
-    # so pure white maps to exactly 1.0.
-    return GrayImage(_LUMA_R * r + (_LUMA_G * g + _LUMA_B * b))
+    # _LUMA_R * r + (_LUMA_G * g + _LUMA_B * b) in one output and one
+    # scratch array. Sum green+blue first: 0.587 + 0.114 is exactly 0.701
+    # in binary64, so pure white maps to exactly 1.0; adding red last
+    # is the same IEEE sum, since addition commutes.
+    gray = np.multiply(_LUMA_G, g)
+    scratch = np.multiply(_LUMA_B, b)
+    gray += scratch
+    gray += np.multiply(_LUMA_R, r, out=scratch)
+    return GrayImage(gray)

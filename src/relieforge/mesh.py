@@ -1,15 +1,18 @@
 """Heightfield tessellation, solidification, and mesh measurement.
 
-The top surface splits every cell along its (r,c)->(r+1,c+1) diagonal in
-a fixed row-major order, so output is deterministic and a closed-form
-prism-sum volume oracle exists. close_solid closes that surface with a
-flat base triangulated from the rim alone and perimeter walls, forming a
-watertight, outward-oriented solid. Its vertex identity comes from the
-grid indices, not from comparing coordinates: sample (r, c) is vertex
-r*cols + c, and a rim sample has a base corner of its own only where it
-stands above the base plane, so a wall triangle collapses exactly when
-two of its corner indices coincide. validate measures any mesh without
-modifying it.
+The top surface splits a cell along its (r,c)->(r+1,c+1) diagonal in a
+fixed row-major order. close_solid first merges flat cells above the
+base plane into aligned quadtree blocks, each zipped over the grid
+vertices on its border, and closes the surface with a flat base
+triangulated from the rim alone and perimeter walls, forming a
+watertight, outward-oriented solid. Output is deterministic, and since a
+merged block is flat, the cell-by-cell prism sum stays an exact volume
+oracle. Vertex identity comes from the grid indices, not from comparing
+coordinates: sample (r, c) is vertex r*cols + c before the vertices
+inside blocks are dropped, and a rim sample has a base corner of its own
+only where it stands above the base plane, so a wall triangle collapses
+exactly when two of its corner indices coincide. validate measures any
+mesh without modifying it.
 """
 
 from __future__ import annotations
@@ -109,52 +112,129 @@ def face_normals(corners: np.ndarray) -> np.ndarray:
     return cross / np.where(norms == 0.0, 1.0, norms)
 
 
-def _grid_vertices(g: HeightGrid, z: np.ndarray) -> np.ndarray:
-    xs = np.broadcast_to(g.x, (g.rows, g.cols))
-    ys = np.broadcast_to(g.y[:, None], (g.rows, g.cols))
-    return np.column_stack([xs.ravel(), ys.ravel(), np.asarray(z, dtype=np.float64).ravel()])
+def _sample_vertices(g: HeightGrid, samples: np.ndarray) -> np.ndarray:
+    """(x[c], y[r], h[r,c]) for the row-major sample indices r*cols + c."""
+    r, c = np.divmod(samples, g.cols)
+    return np.column_stack([g.x[c], g.y[r], g.heights.ravel()[samples]])
 
 
-def _cell_triangles(rows: int, cols: int) -> np.ndarray:
-    """Index triples for the grid surface, row-major cells, 2 per cell.
+def _cell_triangles(anchors: np.ndarray, cols: int) -> np.ndarray:
+    """Index triples for the grid cells whose corner A has the given indices.
 
     Per cell with corners A=(r,c), B=(r,c+1), C=(r+1,c), D=(r+1,c+1) the
     diagonal is A-D; emission order is (A,B,D) then (A,D,C), which winds
     counter-clockwise seen from +Z.
     """
-    r = np.arange(rows - 1).repeat(cols - 1)
-    c = np.tile(np.arange(cols - 1), rows - 1)
-    a = r * cols + c
-    d = a + cols + 1
+    a, d = anchors, anchors + cols + 1
     return np.stack([a, a + 1, d, a, d, a + cols], axis=1).reshape(-1, 3)
+
+
+def _rim_chains(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The two rim chains of a 2-D index array, both from [0, 0] to [-1, -1].
+
+    ``a`` runs along row 0 and then up the last column, ``b`` up column
+    0 and then along the last row.
+    """
+    return (
+        np.concatenate([idx[0], idx[1:, -1]]),
+        np.concatenate([idx[:, 0], idx[-1, 1:]]),
+    )
+
+
+def _zipper(chain_a: np.ndarray, chain_b: np.ndarray) -> np.ndarray:
+    """Triangulate the polygon bounded by two chains with common ends.
+
+    Both chains have n edges. The strip (a[k], b[k-1], b[k]),
+    (a[k], b[k], a[k+1]) for 1 <= k <= n-1 gives 2n - 2 triangles. With
+    the chains of _rim_chains over a grid they wind clockwise seen from
+    +Z.
+    """
+    a, b = chain_a, chain_b
+    k = np.arange(1, len(a) - 1)
+    return np.stack([a[k], b[k - 1], b[k], a[k], b[k], a[k + 1]], axis=1).reshape(-1, 3)
+
+
+def _upsample(mask: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """Each entry of ``mask`` as a 2x2 patch, padded with False to ``shape``."""
+    out = np.zeros(shape, dtype=bool)
+    out[: 2 * mask.shape[0], : 2 * mask.shape[1]] = mask.repeat(2, axis=0).repeat(2, axis=1)
+    return out
+
+
+def _flat_blocks(heights: np.ndarray, base_z: float) -> tuple[np.ndarray, list]:
+    """Choose the flat top blocks of an aligned quadtree over the cells.
+
+    A cell is flat when its four corners are equal and above base_z; an
+    aligned 2^k x 2^k block is flat when its four children are flat, and
+    then they share one height, because neighbours share their border
+    samples. Every flat block of side >= 2 whose parent is not flat
+    is chosen, so chosen blocks never overlap. Returns the cells outside
+    every chosen block as a (rows-1, cols-1) mask, and per level from the
+    largest side down, (side, row-major (block row, block column) pairs
+    of the chosen blocks as an (m, 2) array).
+    """
+    z = heights[:-1, :-1]
+    flat = (
+        (z == heights[:-1, 1:]) & (z == heights[1:, :-1]) & (z == heights[1:, 1:]) & (z > base_z)
+    )
+    levels = [flat]
+    while True:  # until a level has no flat block; it ends the list
+        f = flat[: flat.shape[0] // 2 * 2, : flat.shape[1] // 2 * 2]
+        flat = f[::2, ::2] & f[::2, 1::2] & f[1::2, ::2] & f[1::2, 1::2]
+        levels.append(flat)
+        if not flat.any():
+            break
+    blocks = [
+        (1 << k, np.argwhere(levels[k] & ~_upsample(levels[k + 1], levels[k].shape)))
+        for k in range(len(levels) - 2, 0, -1)
+    ]
+    return ~_upsample(levels[1], levels[0].shape), blocks
 
 
 def tessellate_top(g: HeightGrid) -> TriangleMesh:
     """Triangulate the height surface alone (open, not printable).
 
-    One vertex per sample at (x[c], y[r], h[r,c]); normals face +Z-ward.
+    One vertex per sample at (x[c], y[r], h[r,c]), two triangles per
+    cell; normals face +Z-ward.
     """
-    return TriangleMesh(_grid_vertices(g, g.heights), _cell_triangles(g.rows, g.cols))
+    cells = np.arange((g.rows - 1) * (g.cols - 1))
+    vertices = _sample_vertices(g, np.arange(g.rows * g.cols))
+    return TriangleMesh(vertices, _cell_triangles(cells + cells // (g.cols - 1), g.cols))
 
 
 def close_solid(g: HeightGrid, base_z: float = 0.0) -> TriangleMesh:
     """Close the height surface into a printable solid.
 
-    Sample (r, c) is top vertex r*cols + c. The base at z = base_z
-    triangulates the rim polygon alone by zipping two rim chains that
-    run from the SW to the NE corner: ``a`` along the south row and up
-    the east column, ``b`` up the west column and along the north row.
-    Each has n = rows + cols - 2 edges, and the strip (a[k], b[k-1], b[k]),
-    (a[k], b[k], a[k+1]) for 1 <= k <= n-1 gives 2(rows + cols) - 6
-    triangles facing -Z. A rim sample's base corner is that same vertex
-    where h == base_z, and otherwise a vertex of its own, numbered after
-    the top ones in row-major order; interior samples have none. Walls
-    join the two rims along the same chains. A wall triangle with a
-    repeated corner index has zero height; those are left out by index
-    alone and counted in ``degenerate_skipped``. Every other triangle is
-    kept, however thin. With two columns the zipper would use the top's
-    row edges, so there it starts from ``b`` instead, with each triangle
-    wound the other way; no base edge is then a top edge. With at least
+    The top merges flat cells into blocks: _flat_blocks picks aligned
+    2^k x 2^k blocks of side >= 2 whose cells all have four equal
+    corners at one height strictly above base_z. Each block is zipped
+    (see _zipper) over every grid vertex on its border into 4s - 2
+    triangles facing +Z, so a neighbour shares each border vertex and
+    no vertex lies inside another triangle's edge. Every other cell
+    splits into (A,B,D), (A,D,C) in row-major order. Blocks on the base
+    plane are never merged: at a rim corner their chords would be the
+    base's chords too.
+
+    The base at z = base_z triangulates the rim polygon alone by zipping
+    two rim chains that run from the SW to the NE corner: ``a`` along
+    the south row and up the east column, ``b`` up the west column and
+    along the north row. That gives 2(rows + cols) - 6 triangles facing
+    -Z. A rim sample's base corner is that same vertex where
+    h == base_z, and otherwise a vertex of its own, numbered after the
+    top ones in row-major order; interior samples have none. Walls join
+    the two rims along the same chains. A wall triangle with a repeated
+    corner index has zero height; those are left out by index alone and
+    counted in ``degenerate_skipped``. Every other triangle is kept,
+    however thin. With two columns the zipper would use the top's row
+    edges, so there it starts from ``b`` instead, with each triangle
+    wound the other way; no base edge is then a top edge.
+
+    Vertices are found by grid index, not by coordinates: the samples no
+    block hides inside come first in row-major order, then the base
+    corners of their own.
+
+    Triangles come as unmerged cells, then blocks from the largest side
+    down (row-major within a side), then base, then walls. With at least
     one sample above base_z the result is watertight with outward
     normals; where top samples lie on the base plane the top touches the
     base. A grid with no sample above base_z has no volume and raises
@@ -171,35 +251,49 @@ def close_solid(g: HeightGrid, base_z: float = 0.0) -> TriangleMesh:
         raise GeometryError(f"every height lies on the base plane z={base_z}: no volume")
     rows, cols = g.rows, g.cols
     n = rows * cols
-
-    raised = heights > base_z
-    raised[1:-1, 1:-1] = False
-    raised = raised.ravel()
-    base = np.where(raised, n - 1 + np.cumsum(raised), np.arange(n))
-    top_vertices = _grid_vertices(g, heights)
-    vertices = np.vstack([top_vertices, top_vertices[raised]])
-    vertices[n:, 2] = base_z
-
     top = np.arange(n).reshape(rows, cols)
-    a = np.concatenate([top[0], top[1:, -1]])
-    b = np.concatenate([top[:, 0], top[-1, 1:]])
+
+    unmerged, blocks = _flat_blocks(heights, base_z)
+    cells = np.flatnonzero(unmerged)
+    top_tris = [_cell_triangles(cells + cells // (cols - 1), cols)]
+    hidden = np.zeros(n, dtype=bool)
+    for side, rc in blocks:
+        anchors = rc[:, 0] * (side * cols) + rc[:, 1] * side
+        block = _zipper(*_rim_chains(top[: side + 1, : side + 1]))[:, ::-1]
+        top_tris.append((anchors[:, None, None] + block).reshape(-1, 3))
+        hidden[anchors[:, None] + top[1:side, 1:side].ravel()] = True
+
+    # index[s] is the vertex of sample s, base[s] its base corner: a
+    # vertex of its own, numbered after the top ones, for a rim sample
+    # above base_z, and index[s] itself otherwise.
+    kept = np.flatnonzero(~hidden)
+    index = np.zeros(n, dtype=np.int64)
+    index[kept] = np.arange(len(kept))
+    rim = np.concatenate([top[0], top[1:-1, [0, -1]].ravel(), top[-1]])
+    raised = rim[heights.ravel()[rim] > base_z]
+    base = index.copy()
+    base[raised] = len(kept) + np.arange(len(raised))
+    vertices = _sample_vertices(g, np.concatenate([kept, raised]))
+    vertices[len(kept):, 2] = base_z
+
+    a, b = _rim_chains(top)
     za, zb = (b, a) if cols == 2 else (a, b)
-    k = np.arange(1, rows + cols - 2)
-    zipper = np.stack([za[k], zb[k - 1], zb[k], za[k], zb[k], za[k + 1]], axis=1).reshape(-1, 3)
+    zipper = _zipper(za, zb)
     if cols == 2:
         zipper = zipper[:, ::-1]
 
     # Walls: two triangles per rim edge from sample f to sample t. The
     # edges run counter-clockwise seen from +Z, and the triangles are wound
     # so normals face away from the footprint. (base[f], base[t], t)
-    # collapses where base[t] is t itself, and (base[f], t, f) where
-    # base[f] is f.
+    # collapses where t has no base corner of its own, and (base[f], t, f)
+    # where f has none.
     f = np.concatenate([a[:-1], b[1:]])
     t = np.concatenate([a[1:], b[:-1]])
-    wall_tris = np.stack([base[f], base[t], t, base[f], t, f], axis=1).reshape(-1, 3)
-    keep = np.stack([base[t] != t, base[f] != f], axis=1).ravel()
+    bf, bt, it, i_f = base[f], base[t], index[t], index[f]
+    wall_tris = np.stack([bf, bt, it, bf, it, i_f], axis=1).reshape(-1, 3)
+    keep = np.stack([bt != it, bf != i_f], axis=1).ravel()
 
-    triangles = np.vstack([_cell_triangles(rows, cols), base[zipper], wall_tris[keep]])
+    triangles = np.vstack([index[np.vstack(top_tris)], base[zipper], wall_tris[keep]])
     skipped = len(keep) - int(np.count_nonzero(keep))
     return TriangleMesh(vertices, triangles, degenerate_skipped=skipped)
 
@@ -282,7 +376,9 @@ def analytic_volume(g: HeightGrid, base_z: float = 0.0) -> float:
 
     Each triangle of the fixed diagonal split contributes
     (cell area / 2) * (mean corner height - base_z); its oblique top is
-    planar, so the prism mean is exact, not an approximation.
+    planar, so the prism mean is exact, not an approximation. The cells
+    close_solid merges into a block are flat at one height, so their
+    prisms sum to the block's whatever its triangulation.
     """
     h = g.heights
     if h.min() < base_z:

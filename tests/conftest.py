@@ -1,4 +1,5 @@
-"""Shared fixtures: hand-built PGM/PNG bytes and the 4x4 logo stand-in.
+"""Shared fixtures: hand-built PGM/PNG bytes, the 4x4 logo stand-in and
+a loop oracle for the flat blocks close_solid merges.
 
 The PNG builder here is written against the file-format documents, not
 against the package decoder, so decode tests check two independent
@@ -81,3 +82,29 @@ def logo_pgm(tmp_path, logo_pgm_bytes):
     path = tmp_path / "logo.pgm"
     path.write_bytes(logo_pgm_bytes)
     return path
+
+
+def flat_blocks_reference(heights, base_z):
+    """The flat top blocks close_solid merges, found by loops.
+
+    An aligned block of side s = 2^k >= 2 whose (s+1)^2 samples all equal
+    one height above base_z qualifies. Blocks are taken from the largest
+    side down, row-major within a side, skipping cells already taken.
+    Returns [(row, col, side)] and the (rows-1, cols-1) mask of the cells
+    outside every block.
+    """
+    rows, cols = heights.shape
+    taken = np.zeros((rows - 1, cols - 1), dtype=bool)
+    blocks = []
+    side = 1
+    while 2 * side <= min(rows, cols) - 1:
+        side *= 2
+    while side >= 2:
+        for r in range(0, rows - side, side):
+            for c in range(0, cols - side, side):
+                patch = heights[r : r + side + 1, c : c + side + 1]
+                if not taken[r, c] and patch.min() == patch.max() > base_z:
+                    blocks.append((r, c, side))
+                    taken[r : r + side, c : c + side] = True
+        side //= 2
+    return blocks, ~taken

@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 from relieforge import cli
+from relieforge.errors import GeometryError
+from relieforge.heightfield import HeightGrid
 from relieforge.mesh import TriangleMesh, close_solid
 
 from conftest import make_pgm
@@ -52,9 +54,14 @@ class TestConvert:
             "area_mm2",
             "bbox_mm",
             "degenerate",
+            "boundary_edges",
+            "nonmanifold_edges",
             "warnings",
         ):
             assert key in rep
+        keys = list(rep)
+        assert keys[keys.index("boundary_edges") + 1] == "nonmanifold_edges"
+        assert rep["boundary_edges"] == rep["nonmanifold_edges"] == 0
 
     def test_human_summary_on_stderr(self, tmp_path, logo_pgm):
         proc = run("convert", logo_pgm, "-o", tmp_path / "x.stl")
@@ -150,6 +157,18 @@ class TestConvert:
         assert err.endswith("relieforge: geometry: not watertight\n")
         assert json.loads(out)["watertight"] is False
         assert not (tmp_path / "p.stl").exists()
+
+    def test_report_counts_nonmanifold_edges(self, tmp_path, logo_pgm, monkeypatch, capsys):
+        def doubled(grid, base_z):
+            mesh = close_solid(grid, base_z=base_z)
+            tris = np.vstack([mesh.triangles, mesh.triangles[:1, ::-1]])
+            return TriangleMesh(mesh.vertices, tris, mesh.degenerate_skipped)
+
+        monkeypatch.setattr(cli, "close_solid", doubled)
+        assert cli.main(["convert", str(logo_pgm), "-o", str(tmp_path / "x.stl")]) == 4
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["watertight"] is False
+        assert rep["boundary_edges"] == 0 and rep["nonmanifold_edges"] == 3
 
     def test_failed_write_keeps_existing_output(self, tmp_path, logo_pgm, monkeypatch, capsys):
         def write_half(mesh, fh):
@@ -276,6 +295,35 @@ class TestExitCodes:
         assert proc.stderr.startswith("relieforge: geometry:") and "float32" in proc.stderr
         assert not out.exists()
 
+    def test_geometry_rim_merging_in_float32(self, tmp_path):
+        # Heights of 100000001 over a base plane at 100000000 make a solid
+        # in float64, but both round to 100000000 in float32, so every rim
+        # base corner would land on its top vertex in the file.
+        img = tmp_path / "a.pgm"
+        img.write_bytes(make_pgm(np.full((70, 200), 128, dtype=np.uint8)))
+        tf_path = tmp_path / "const1.tf"
+        tf_path.write_text("[0.0, 1.0] => 1.0\n")
+        out = tmp_path / "x.stl"
+        proc = run(
+            "convert", img, "-o", out, "--transfer", tf_path,
+            "--scale", "100000001", "--base-z", "100000000",
+        )
+        assert proc.returncode == 4
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == [proc.stderr.strip()]
+        assert proc.stderr.startswith("relieforge: geometry: rim heights") and "float32" in proc.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_geometry_positions_merging_in_float32(self, axis):
+        close = np.array([0.0, 1.0, 1.0 + 1e-9])
+        apart = np.array([0.0, 1.0, 2.0])
+        x, y = (close, apart) if axis == "x" else (apart, close)
+        g = HeightGrid(np.ones((3, 3)), x, y)
+        with pytest.raises(GeometryError, match=f"neighbouring {axis} positions"):
+            cli._check_float32(g, 0.0)
+        cli._check_float32(HeightGrid(np.ones((3, 3)), apart, apart), 0.0)
+
     def test_input_parse_p2_huge_dimensions(self, tmp_path):
         img = tmp_path / "huge.pgm"
         img.write_bytes(b"P2 100000000000 100000000000 255\n0 1 2\n")
@@ -289,7 +337,44 @@ class TestExitCodes:
         assert "output-io" in proc.stderr
 
 
+class TestInternalErrors:
+    @pytest.mark.parametrize(
+        "exc, line",
+        [
+            (RuntimeError("boom\n  at depth"), "relieforge: internal: RuntimeError: boom at depth\n"),
+            (MemoryError(), "relieforge: internal: MemoryError\n"),
+        ],
+    )
+    def test_one_line_and_exit_1(self, tmp_path, logo_pgm, monkeypatch, capsys, exc, line):
+        def fail(cfg):
+            raise exc
+
+        monkeypatch.setattr(cli, "convert", fail)
+        assert cli.main(["convert", str(logo_pgm), "-o", str(tmp_path / "x.stl")]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == line
+
+
 class TestInspect:
+    @pytest.mark.parametrize("flags", [[], ["--ascii"]])
+    def test_merged_logo_counts_survive_the_file(self, tmp_path, flags):
+        # Flat plate and glyph tops merge into blocks; the file must read
+        # back to the same vertices and triangles that convert reported.
+        px = np.full((20, 48), 255, dtype=np.uint8)
+        px[3:17, 5:23] = 0
+        px[6:12, 30:44] = 100
+        img = tmp_path / "logo.pgm"
+        img.write_bytes(make_pgm(px))
+        out = tmp_path / "x.stl"
+        conv = run("convert", img, "-o", out, *flags)
+        assert conv.returncode == 0, conv.stderr
+        insp = run("inspect", out)
+        assert insp.returncode == 0, insp.stderr
+        crep, irep = report_of(conv), report_of(insp)
+        assert crep["triangles"] < 2 * 19 * 47  # fewer than the top's cells alone
+        for key in ("vertices", "triangles", "edges", "euler", "watertight"):
+            assert irep[key] == crep[key], key
+
     def test_convert_output_passes(self, tmp_path, logo_pgm):
         out = tmp_path / "x.stl"
         conv = run("convert", logo_pgm, "-o", out)

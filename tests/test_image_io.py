@@ -286,6 +286,16 @@ class TestToGrayscale:
         vals = to_grayscale(img).values
         assert vals.min() >= 0.0 and vals.max() <= 1.0
 
+    @pytest.mark.parametrize("color_type, channels", [(2, 3), (6, 4)])
+    def test_bitwise_equal_to_the_luma_expression(self, color_type, channels):
+        rng = np.random.default_rng(color_type)
+        pixels = rng.integers(0, 256, size=(13, 17, channels), dtype=np.uint8)
+        raster = decode_png(make_png(pixels, color_type))
+        r, g, b = (raster.samples[:, :, k] for k in range(3))
+        expected = 0.299 * r + (0.587 * g + 0.114 * b)
+        got = to_grayscale(raster).values
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
 
 class TestEncodePgm:
     def test_round_trip_within_half_step(self):

@@ -16,6 +16,8 @@ from relieforge.mesh import (
     validate,
 )
 
+from conftest import flat_blocks_reference
+
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 
@@ -71,11 +73,41 @@ class TestCloseSolid:
         assert rep.signed_volume == 3.0
 
     def test_3x3_constant(self):
-        rep = validate(close_solid(grid(np.full((3, 3), 2.5))))
-        # 9 top + 8 rim base vertices; 8 top + 6 base + 16 wall triangles
-        assert rep.vertex_count == 17 and rep.triangle_count == 30
+        mesh = close_solid(grid(np.full((3, 3), 2.5)))
+        rep = validate(mesh)
+        # One 2x2 block: its 8 border samples (the centre one is dropped)
+        # + 8 rim base vertices; 4*2 - 2 = 6 top + 6 base + 16 wall triangles
+        assert rep.vertex_count == 16 and rep.triangle_count == 28
+        assert [1.0, 1.0, 2.5] not in mesh.vertices.tolist()
         assert rep.signed_volume == 4 * 2.5
         assert rep.euler_characteristic == 2 and rep.watertight
+
+    def test_base_plane_block_at_a_corner_stays_unmerged(self):
+        # A 2x2 block on the base plane at the south-west corner would be
+        # zipped with the base zipper's own chords, and those edges would
+        # be used four times. Only blocks above base_z merge.
+        heights = np.ones((5, 6))
+        heights[:3, :3] = 0.0
+        g = grid(heights)
+        assert flat_blocks_reference(heights, 0.0)[0] == []
+        mesh = close_solid(g)
+        rep = validate(mesh)
+        assert rep.watertight and rep.euler_characteristic == 2
+        assert rep.nonmanifold_edge_count == 0 and rep.boundary_edge_count == 0
+        perimeter = 2 * (5 + 6) - 4
+        assert rep.triangle_count == 2 * 4 * 5 + perimeter - 2 + 2 * perimeter - 10
+        assert mesh.degenerate_skipped == 10
+        assert rep.signed_volume == pytest.approx(analytic_volume(g), rel=1e-12)
+
+    def test_neighbouring_blocks_share_border_vertices(self):
+        # A 4x4 block beside 2x2 blocks at its own height and at another,
+        # and flat cells outside the quadtree's alignment: every grid
+        # vertex on a block border is used, so no vertex lies inside an edge.
+        heights = np.full((7, 9), 2.0)
+        heights[:, 6:] = 3.0
+        blocks, _ = flat_blocks_reference(heights, 0.0)
+        assert blocks == [(0, 0, 4), (0, 6, 2), (2, 6, 2), (4, 0, 2), (4, 2, 2), (4, 6, 2)]
+        check_merged_solid(grid(heights, dx=0.5, dy=1.5), 0.0)
 
     def test_plate_and_glyph_heights(self):
         g = grid([[1.2, 1.2], [1.2, 5.2]])
@@ -165,26 +197,76 @@ def plateau_grids(draw):
     return HeightGrid(base_z + offsets, x, y), base_z
 
 
-@settings(max_examples=200, deadline=None)
-@given(plateau_grids())
-def test_close_solid_counts_and_closure(case):
-    g, base_z = case
+def check_merged_solid(g, base_z):
+    """close_solid(g, base_z) against exact counts from the block oracle."""
     rows, cols = g.rows, g.cols
     mesh = close_solid(g, base_z=base_z)
+    blocks, unmerged = flat_blocks_reference(g.heights, base_z)
     rim = np.ones((rows, cols), dtype=bool)
     rim[1:-1, 1:-1] = False
     perimeter = 2 * (rows + cols) - 4
+    cell_tris = 2 * int(np.count_nonzero(unmerged))
+    block_tris = [4 * side - 2 for _, _, side in blocks]
     expected_triangles = (
-        2 * (rows - 1) * (cols - 1) + perimeter - 2 + 2 * perimeter - mesh.degenerate_skipped
+        cell_tris + sum(block_tris) + perimeter - 2 + 2 * perimeter - mesh.degenerate_skipped
     )
     assert mesh.triangle_count == expected_triangles
-    assert len(mesh.vertices) == rows * cols + int(np.count_nonzero(g.heights[rim] > base_z))
+    hidden = sum((side - 1) ** 2 for _, _, side in blocks)
+    raised_rim = int(np.count_nonzero(g.heights[rim] > base_z))
+    assert len(mesh.vertices) == rows * cols - hidden + raised_rim
     assert np.array_equal(np.unique(mesh.triangles), np.arange(len(mesh.vertices)))
+    corners = mesh.vertices[mesh.triangles]
+    start = cell_tris
+    for (r, c, side), count in zip(blocks, block_tris):
+        tris = corners[start : start + count]
+        start += count
+        assert np.all(tris[:, :, 2] == g.heights[r, c])
+        assert np.array_equal(face_normals(tris), np.tile([0.0, 0.0, 1.0], (count, 1)))
+        assert np.all((tris[:, :, 0] >= g.x[c]) & (tris[:, :, 0] <= g.x[c + side]))
+        assert np.all((tris[:, :, 1] >= g.y[r]) & (tris[:, :, 1] <= g.y[r + side]))
+        cross = np.cross(tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0])
+        footprint = (g.x[c + side] - g.x[c]) * (g.y[r + side] - g.y[r])
+        assert 0.5 * cross[:, 2].sum() == pytest.approx(footprint, rel=1e-12)
     rep = validate(mesh)
     assert rep.watertight and rep.euler_characteristic == 2
     assert abs(rep.signed_volume - analytic_volume(g, base_z)) <= 1e-9 * max(
         1.0, abs(rep.signed_volume)
     )
+    return mesh
+
+
+@settings(max_examples=200, deadline=None)
+@given(plateau_grids())
+def test_close_solid_counts_and_closure(case):
+    check_merged_solid(*case)
+
+
+@st.composite
+def flat_region_grids(draw):
+    """Grids of wide plateaus: a coarse level map blown up by a tile side,
+    shifted against the quadtree, with a few single-sample specks."""
+    rows = draw(st.integers(2, 20))
+    cols = draw(st.integers(2, 20))
+    base_z = draw(st.sampled_from([0.0, 0.75, 3.0]))
+    tile = draw(st.integers(1, 9))
+    levels = st.sampled_from([0.0, 0.25, 1.0, 2.5])
+    coarse = draw(arrays(np.float64, (rows // tile + 2, cols // tile + 2), elements=levels))
+    dr, dc = draw(st.integers(0, tile - 1)), draw(st.integers(0, tile - 1))
+    offsets = np.kron(coarse, np.ones((tile, tile)))[dr : dr + rows, dc : dc + cols]
+    for _ in range(draw(st.integers(0, 3))):
+        r, c = draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1))
+        offsets[r, c] = draw(levels)
+    assume(offsets.max() > 0)
+    steps = st.sampled_from([0.1, 0.5, 1.0, 3.0])
+    x = np.cumsum(draw(arrays(np.float64, cols, elements=steps))) - 0.1
+    y = np.cumsum(draw(arrays(np.float64, rows, elements=steps)))
+    return HeightGrid(base_z + offsets, x, y), base_z
+
+
+@settings(max_examples=300, deadline=None)
+@given(flat_region_grids())
+def test_merged_blocks_close_exactly(case):
+    check_merged_solid(*case)
 
 
 class TestValidate:

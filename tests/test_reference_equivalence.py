@@ -1,8 +1,9 @@
 """The whole-array code paths against the loops and sorts they replaced.
 
 read_stl and validate find vertex and edge identity by sorting integers,
-and close_solid by grid index, with a base zipped from the rim instead
-of the oracle's mirrored copy of the grid; the ASCII STL writer formats
+and close_solid by grid index, with flat top blocks and a base zipped
+from their rims instead of the oracle's cell split and mirrored copy of
+the grid; the ASCII STL writer formats
 each distinct float32 once, and the ASCII parser checks the grammar in
 whole-array passes over the bytes; the PNG decoder undoes scanline
 filters one anti-diagonal at a time and composites alpha in place. The
@@ -34,7 +35,7 @@ from relieforge.mesh import (
 )
 from relieforge.stl_io import AsciiStlError, _parse_ascii, read_stl, write_ascii_stl
 
-from conftest import make_png_filtered
+from conftest import flat_blocks_reference, make_png_filtered
 
 SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -258,6 +259,12 @@ def thin(shape):
     return HeightGrid.from_spacing(heights, dx=0.5, dy=2.0), 0.0
 
 
+def plateau(shape, low_corner):
+    heights = np.ones(shape)
+    heights[:low_corner, :low_corner] = 0.0
+    return HeightGrid.from_spacing(heights, dx=0.5, dy=2.0), 0.0
+
+
 def triangle_rows(corners: np.ndarray) -> list:
     return sorted(tri.tobytes() for tri in corners)
 
@@ -267,10 +274,14 @@ def triangle_rows(corners: np.ndarray) -> list:
 @example(thin((2, 2)))
 @example(thin((2, 6)))
 @example(thin((6, 2)))
+@example(plateau((5, 6), 3))
+@example(plateau((9, 7), 1))
 def test_close_solid_matches_coordinate_weld(case):
-    # The zipper base differs from the oracle's mirrored base; the top and
-    # walls are the same, the base covers the footprint facing -Z, and
-    # no grid that the oracle closes is left open.
+    # The merged blocks and the zipper base differ from the oracle's cell
+    # split and mirrored base. The unmerged cells and the walls are the
+    # same, the blocks cover their footprints flat and facing +Z, the base
+    # covers the footprint facing -Z, and no grid that the oracle closes
+    # is left open.
     g, base_z = case
     if not (g.heights > base_z).any():
         with pytest.raises(GeometryError, match="no volume"):
@@ -279,12 +290,25 @@ def test_close_solid_matches_coordinate_weld(case):
     mesh = close_solid(g, base_z=base_z)
     ref = close_solid_reference(g, base_z=base_z)
     assert mesh.degenerate_skipped == ref.degenerate_skipped
+    blocks, unmerged = flat_blocks_reference(g.heights, base_z)
     cells = 2 * (g.rows - 1) * (g.cols - 1)
+    kept = 2 * int(np.count_nonzero(unmerged))
+    merged = sum(4 * side - 2 for _, _, side in blocks)
     zipped = 2 * (g.rows + g.cols) - 6
-    top, base, walls = np.split(mesh.vertices[mesh.triangles], [cells, cells + zipped])
+    top, block, base, walls = np.split(
+        mesh.vertices[mesh.triangles], [kept, kept + merged, kept + merged + zipped]
+    )
     ref_corners = ref.vertices[ref.triangles]
-    assert top.tobytes() == ref_corners[:cells].tobytes()
+    ref_top = ref_corners[:cells].reshape(-1, 2, 3, 3)[unmerged.ravel()]
+    assert top.tobytes() == ref_top.tobytes()
     assert triangle_rows(walls) == triangle_rows(ref_corners[2 * cells :])
+    block_area = 0.5 * np.cross(block[:, 1] - block[:, 0], block[:, 2] - block[:, 0])[:, 2]
+    block_footprint = sum(
+        (g.x[c + side] - g.x[c]) * (g.y[r + side] - g.y[r]) for r, c, side in blocks
+    )
+    assert block_area.sum() == pytest.approx(block_footprint, rel=1e-12, abs=0.0)
+    assert np.all(block_area > 0)
+    assert np.all(block[:, :, 2] == block[:, :1, 2])
     assert np.all(base[:, :, 2] == base_z)
     assert np.array_equal(face_normals(base), np.tile([0.0, 0.0, -1.0], (zipped, 1)))
     area = 0.5 * np.linalg.norm(np.cross(base[:, 1] - base[:, 0], base[:, 2] - base[:, 0]), axis=1)
