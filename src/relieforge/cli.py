@@ -241,26 +241,6 @@ def _shape_heights(cfg: PipelineConfig) -> tuple[HeightGrid, list[str], list[int
     return grid_mm, warnings, input_px, tf.name
 
 
-def _check_float32(grid: HeightGrid, base_z: float) -> None:
-    """Refuse a solid whose vertices would merge in the float32 STL file.
-
-    Neighbouring x or y positions that round to one float32 fold cells
-    flat, and a rim sample above the base plane whose height rounds onto
-    it meets its own base corner. Either way the file would not be the
-    watertight solid validate measured in float64. Raises GeometryError.
-    """
-    for axis, positions in (("x", grid.x), ("y", grid.y)):
-        if not (np.diff(positions.astype(np.float32)) > 0).all():
-            raise GeometryError(f"neighbouring {axis} positions coincide in float32")
-    h = grid.heights
-    rim = np.concatenate([h[0], h[-1], h[1:-1, 0], h[1:-1, -1]])
-    rim = rim[rim > base_z]
-    if (rim.astype(np.float32) <= np.float32(base_z)).any():
-        raise GeometryError(
-            f"rim heights above the base plane z={base_z} round onto it in float32"
-        )
-
-
 def _write_stl(mesh, cfg: PipelineConfig) -> None:
     writer = write_ascii_stl if cfg.ascii_format else write_binary_stl
     _write_atomically(cfg.output_path, lambda fh: writer(mesh, fh))
@@ -272,9 +252,9 @@ def convert(cfg: PipelineConfig) -> RunReport:
     A solid that is not watertight, or that has degenerate triangles
     without ``pad``, raises RejectedSolidError before anything is
     written. ``pad`` asks for a border whose walls collapse on the base
-    plane, so it excuses degenerate triangles, never a leak. A solid
-    whose vertices would merge when the file narrows them to float32
-    raises GeometryError, also before anything is written.
+    plane, so it excuses degenerate triangles, never a leak. close_solid
+    raises GeometryError for a solid whose vertices would merge when the
+    file narrows them to float32, also before anything is written.
     """
     start = time.perf_counter()
     grid_mm, warnings, input_px, tf_name = _shape_heights(cfg)
@@ -298,7 +278,6 @@ def convert(cfg: PipelineConfig) -> RunReport:
         raise RejectedSolidError("not watertight", run_report())
     if mesh_report.degenerate_count and not cfg.pad:
         raise RejectedSolidError("degenerate triangles", run_report())
-    _check_float32(grid_mm, cfg.base_z)
     _write_stl(mesh, cfg)
     return run_report()
 

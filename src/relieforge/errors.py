@@ -7,6 +7,15 @@ callers can catch the whole package with one clause.
 
 from __future__ import annotations
 
+__all__ = [
+    "ReliefError",
+    "InputParseError",
+    "GeometryError",
+    "OutputError",
+    "ByteParseError",
+    "LineParseError",
+]
+
 
 class ReliefError(Exception):
     """Base class for all relieforge errors."""

@@ -71,7 +71,9 @@ class HeightGrid:
     """Finite heights (mm, >= 0) with physical sample positions.
 
     Heights and positions must also fit in float32 (``FLOAT32_MAX``),
-    the type STL files store.
+    the type STL files store. They may still round together in float32:
+    preview and analytic_volume accept any such grid, and close_solid
+    refuses one whose solid would merge vertices in the file.
 
     ``x[c]``/``y[r]`` are the strictly increasing mm coordinates of
     column c / row r; cell widths are ``np.diff(x)`` and ``np.diff(y)``.

@@ -11,8 +11,10 @@ oracle. Vertex identity comes from the grid indices, not from comparing
 coordinates: sample (r, c) is vertex r*cols + c before the vertices
 inside blocks are dropped, and a rim sample has a base corner of its own
 only where it stands above the base plane, so a wall triangle collapses
-exactly when two of its corner indices coincide. validate measures any
-mesh without modifying it.
+exactly when two of its corner indices coincide. close_solid refuses a
+grid whose vertices would merge once narrowed to the float32 of an STL
+file, so every solid it returns is also watertight as written. validate
+measures any mesh without modifying it.
 """
 
 from __future__ import annotations
@@ -239,10 +241,24 @@ def close_solid(g: HeightGrid, base_z: float = 0.0) -> TriangleMesh:
     normals; where top samples lie on the base plane the top touches the
     base. A grid with no sample above base_z has no volume and raises
     GeometryError.
+
+    STL files store float32, so the solid must also stay watertight
+    once its coordinates are narrowed: GeometryError refuses a grid
+    whose neighbouring x or y positions coincide in float32, or whose
+    rim heights above base_z round onto it, because either would merge
+    vertices in the file. Nothing is built before these checks.
     """
     heights = g.heights
     if not abs(base_z) <= FLOAT32_MAX:
         raise GeometryError(f"base plane z={base_z} lies outside +-{FLOAT32_MAX:g} (float32)")
+    for axis, positions in (("x", g.x), ("y", g.y)):
+        if not (np.diff(positions.astype(np.float32)) > 0).all():
+            raise GeometryError(f"neighbouring {axis} positions coincide in float32")
+    rim = np.concatenate(_rim_chains(heights))
+    if (rim[rim > base_z].astype(np.float32) <= np.float32(base_z)).any():
+        raise GeometryError(
+            f"rim heights above the base plane z={base_z} round onto it in float32"
+        )
     if heights.min() < base_z:
         raise InvertedSolidError(
             f"height {heights.min()} lies below the base plane z={base_z}"
@@ -312,25 +328,6 @@ def validate(m: TriangleMesh) -> MeshReport:
     """
     t = m.triangles
     tri_count = len(t)
-
-    if tri_count == 0:
-        lo = np.zeros(3) if len(m.vertices) == 0 else m.vertices.min(axis=0)
-        hi = np.zeros(3) if len(m.vertices) == 0 else m.vertices.max(axis=0)
-        return MeshReport(
-            vertex_count=len(m.vertices),
-            triangle_count=0,
-            edge_count=0,
-            euler_characteristic=len(m.vertices),
-            watertight=False,
-            signed_volume=0.0,
-            surface_area=0.0,
-            bbox_min=lo,
-            bbox_max=hi,
-            degenerate_count=int(m.degenerate_skipped),
-            boundary_edge_count=0,
-            nonmanifold_edge_count=0,
-        )
-
     v0, v1, v2 = m.corners()
     cross = _triangle_cross(v0, v1, v2)
     areas = 0.5 * np.linalg.norm(cross, axis=1)
@@ -346,13 +343,15 @@ def validate(m: TriangleMesh) -> MeshReport:
     keys.sort()
     directed_dup = bool((keys[1:] == keys[:-1]).any())
     und = keys >> 1
-    starts = np.flatnonzero(np.concatenate([[True], und[1:] != und[:-1]]))
+    # und[:1] >= 0 is [True], or empty when there are no edges.
+    starts = np.flatnonzero(np.concatenate([und[:1] >= 0, und[1:] != und[:-1]]))
     und_counts = np.diff(starts, append=len(und))
     edge_count = len(starts)
     boundary = int(np.count_nonzero(und_counts == 1))
     nonmanifold = int(np.count_nonzero(und_counts > 2))
 
-    watertight = boundary == 0 and nonmanifold == 0 and not directed_dup
+    watertight = tri_count > 0 and boundary == 0 and nonmanifold == 0 and not directed_dup
+    box = m.vertices if nv else np.zeros((1, 3))
 
     signed_volume = float(np.einsum("ij,ij->", v0, np.cross(v1, v2)) / 6.0)
     return MeshReport(
@@ -363,8 +362,8 @@ def validate(m: TriangleMesh) -> MeshReport:
         watertight=watertight,
         signed_volume=signed_volume,
         surface_area=float(areas.sum()),
-        bbox_min=m.vertices.min(axis=0),
-        bbox_max=m.vertices.max(axis=0),
+        bbox_min=box.min(axis=0),
+        bbox_max=box.max(axis=0),
         degenerate_count=degenerate + int(m.degenerate_skipped),
         boundary_edge_count=boundary,
         nonmanifold_edge_count=nonmanifold,

@@ -7,7 +7,8 @@ zeroed uint16 attribute).  A well-formed file is therefore exactly
 84 + 50*T bytes, which doubles as the truncation check when reading.
 
 Both writers recompute normals from the winding in float64 and narrow
-every number to float32 exactly once at serialization. The ASCII writer
+every number to float32 exactly once at serialization, in blocks of
+facets that bound the memory held at once. The ASCII writer
 prints each number as the shortest decimal that round-trips to the same
 float32, formatting each distinct bit pattern once, so its bytes depend
 only on the mesh and a binary/ASCII pair of the same mesh parses back
@@ -25,7 +26,7 @@ from __future__ import annotations
 import itertools
 import struct
 from os import PathLike
-from typing import BinaryIO, Iterable
+from typing import BinaryIO, Iterable, Iterator
 
 import numpy as np
 
@@ -66,15 +67,33 @@ def _write_bytes(target, chunks: Iterable[bytes]) -> int:
     return total
 
 
+# Facets narrowed per block, which bounds the memory and text held at once.
+_CHUNK = 1 << 15
+
+
+def _facets(mesh: TriangleMesh) -> Iterator[np.ndarray]:
+    """float32 (n, 4, 3) blocks of up to _CHUNK facets: normal, then corners."""
+    for lo in range(0, mesh.triangle_count, _CHUNK):
+        corners = mesh.vertices[mesh.triangles[lo : lo + _CHUNK]]
+        with np.errstate(over="ignore"):
+            block = np.concatenate([face_normals(corners)[:, None], corners], axis=1)
+            block = block.astype(np.float32)
+        yield block  # outside errstate, which must not leak to the caller
+
+
 def write_binary_stl(mesh: TriangleMesh, target: str | PathLike | BinaryIO) -> int:
     """Write the compact binary form; returns bytes written (84 + 50*T)."""
-    corners = mesh.vertices[mesh.triangles]
-    records = np.zeros(len(corners), dtype=_RECORD)
-    records["normal"] = face_normals(corners).astype(np.float32)
-    records["vertices"] = corners.astype(np.float32)
-    header = BINARY_HEADER_TEXT.ljust(80, b"\x00")
-    payload = header + struct.pack("<I", len(corners)) + records.tobytes()
-    return _write_bytes(target, [payload])
+    records = np.zeros(_CHUNK, dtype=_RECORD)
+
+    def blocks() -> Iterator[bytes]:
+        for facets in _facets(mesh):
+            n = len(facets)
+            records["normal"][:n] = facets[:, 0]
+            records["vertices"][:n] = facets[:, 1:]
+            yield records[:n].tobytes()
+
+    header = BINARY_HEADER_TEXT.ljust(80, b"\x00") + struct.pack("<I", mesh.triangle_count)
+    return _write_bytes(target, itertools.chain([header], blocks()))
 
 
 # One facet of ASCII output: three normal and nine vertex slots.
@@ -87,18 +106,12 @@ _FACET = (
     "    endloop\n"
     "  endfacet\n"
 )
-# Facets formatted per write, which bounds the text held at once.
-_ASCII_CHUNK = 1 << 15
 
 
-def _ascii_facets(mesh: TriangleMesh, lo: int, hi: int) -> bytes:
-    corners = mesh.vertices[mesh.triangles[lo:hi]]
-    with np.errstate(over="ignore"):
-        values = np.concatenate([face_normals(corners)[:, None], corners], axis=1)
-        values = values.astype(np.float32)
-    bits, inverse = np.unique(values.view(np.uint32).ravel(), return_inverse=True)
+def _ascii_facets(facets: np.ndarray) -> bytes:
+    bits, inverse = np.unique(facets.view(np.uint32).ravel(), return_inverse=True)
     words = np.array([str(v) for v in bits.view(np.float32)], dtype=object)
-    return (_FACET * len(corners)).format(*words[inverse].tolist()).encode("ascii")
+    return (_FACET * len(facets)).format(*words[inverse].tolist()).encode("ascii")
 
 
 def write_ascii_stl(
@@ -117,8 +130,7 @@ def write_ascii_stl(
         raise ValueError("solid name must not contain newlines")
     head = f"solid {name}\n".encode("ascii")
     tail = f"endsolid {name}\n".encode("ascii")
-    count = mesh.triangle_count
-    blocks = (_ascii_facets(mesh, lo, lo + _ASCII_CHUNK) for lo in range(0, count, _ASCII_CHUNK))
+    blocks = map(_ascii_facets, _facets(mesh))
     return _write_bytes(target, itertools.chain([head], blocks, [tail]))
 
 

@@ -9,8 +9,6 @@ import numpy as np
 import pytest
 
 from relieforge import cli
-from relieforge.errors import GeometryError
-from relieforge.heightfield import HeightGrid
 from relieforge.mesh import TriangleMesh, close_solid
 
 from conftest import make_pgm
@@ -313,16 +311,6 @@ class TestExitCodes:
         assert proc.stderr.splitlines() == [proc.stderr.strip()]
         assert proc.stderr.startswith("relieforge: geometry: rim heights") and "float32" in proc.stderr
         assert not out.exists()
-
-    @pytest.mark.parametrize("axis", ["x", "y"])
-    def test_geometry_positions_merging_in_float32(self, axis):
-        close = np.array([0.0, 1.0, 1.0 + 1e-9])
-        apart = np.array([0.0, 1.0, 2.0])
-        x, y = (close, apart) if axis == "x" else (apart, close)
-        g = HeightGrid(np.ones((3, 3)), x, y)
-        with pytest.raises(GeometryError, match=f"neighbouring {axis} positions"):
-            cli._check_float32(g, 0.0)
-        cli._check_float32(HeightGrid(np.ones((3, 3)), apart, apart), 0.0)
 
     def test_input_parse_p2_huge_dimensions(self, tmp_path):
         img = tmp_path / "huge.pgm"

@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -15,6 +17,7 @@ from relieforge.mesh import (
     tessellate_top,
     validate,
 )
+from relieforge.stl_io import read_stl, write_binary_stl
 
 from conftest import flat_blocks_reference
 
@@ -175,6 +178,26 @@ class TestCloseSolid:
         assert rep.watertight and rep.boundary_edge_count == 0
         assert rep.degenerate_count == 24
 
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_positions_merging_in_float32(self, axis):
+        close = np.array([0.0, 1.0, 1.0 + 1e-9])
+        apart = np.array([0.0, 1.0, 2.0])
+        x, y = (close, apart) if axis == "x" else (apart, close)
+        g = HeightGrid(np.ones((3, 3)), x, y)
+        with pytest.raises(GeometryError, match=f"neighbouring {axis} positions"):
+            close_solid(g)
+        assert analytic_volume(g) > 0
+        close_solid(HeightGrid(np.ones((3, 3)), apart, apart))
+
+    def test_rim_merging_in_float32(self):
+        # 100000001 lies above a base plane at 100000000 in float64, but
+        # both round to 100000000 in float32, so every rim sample's base
+        # corner would land on its top vertex in the file.
+        g = grid(np.full((70, 200), 100000001.0))
+        with pytest.raises(GeometryError, match="rim heights"):
+            close_solid(g, base_z=1e8)
+        assert analytic_volume(g, base_z=1e8) > 0
+
     def test_deterministic(self):
         g = grid(np.random.default_rng(0).uniform(1, 5, size=(6, 7)))
         a, b = close_solid(g), close_solid(g)
@@ -269,6 +292,42 @@ def test_merged_blocks_close_exactly(case):
     check_merged_solid(*case)
 
 
+@st.composite
+def float32_edge_grids(draw):
+    """Grids at float32's resolution: origins far from 0, spacings near one
+    float32 ulp there, heights a few float32 ulps from a far base plane."""
+    rows = draw(st.integers(2, 6))
+    cols = draw(st.integers(2, 6))
+    base_z = draw(st.sampled_from([0.0, 1e8]))
+    offsets = draw(arrays(np.float64, (rows, cols), elements=st.sampled_from([0.0, 1.0, 2.0])))
+    if draw(st.booleans()):  # a rim on the base plane has no base corners to merge
+        offsets[[0, -1]] = offsets[:, [0, -1]] = 0.0
+    assume(offsets.max() > 0)
+
+    def positions(n):
+        # float32 ulps: 1.2e-7 at 1, 1.0 at 1e7.
+        steps = arrays(np.float64, n - 1, elements=st.sampled_from([1e-7, 0.5, 1.0, 1.5, 3.0]))
+        return draw(st.sampled_from([0.0, 1e7])) + np.concatenate([[0.0], np.cumsum(draw(steps))])
+
+    return HeightGrid(base_z + offsets, positions(cols), positions(rows)), base_z
+
+
+@settings(max_examples=300, deadline=None)
+@given(float32_edge_grids())
+def test_accepted_solid_survives_float32_file(case):
+    g, base_z = case
+    try:
+        mesh = close_solid(g, base_z=base_z)
+    except GeometryError as exc:
+        assert "float32" in str(exc)
+        return
+    buf = io.BytesIO()
+    write_binary_stl(mesh, buf)
+    rep = validate(read_stl(buf.getvalue()))
+    assert rep.vertex_count == len(mesh.vertices)
+    assert rep.watertight and rep.euler_characteristic == 2
+
+
 class TestValidate:
     def test_box_with_triangle_deleted(self):
         mesh = close_solid(grid([[3.0, 3.0], [3.0, 3.0]]))
@@ -282,6 +341,15 @@ class TestValidate:
         rep = validate(TriangleMesh(np.zeros((0, 3)), np.zeros((0, 3), int)))
         assert not rep.watertight
         assert rep.triangle_count == 0 and rep.signed_volume == 0.0
+        assert rep.edge_count == 0 and rep.euler_characteristic == 0
+        assert np.array_equal(rep.bbox_min, np.zeros(3))
+        assert np.array_equal(rep.bbox_max, np.zeros(3))
+        points = np.array([[1.0, 2.0, 3.0], [4.0, -5.0, 6.0], [0.0, 0.0, 9.0]])
+        rep = validate(TriangleMesh(points, np.zeros((0, 3), int)))
+        assert not rep.watertight and rep.surface_area == 0.0
+        assert rep.edge_count == 0 and rep.euler_characteristic == 3
+        assert np.array_equal(rep.bbox_min, [0.0, -5.0, 3.0])
+        assert np.array_equal(rep.bbox_max, [4.0, 2.0, 9.0])
 
     def test_duplicated_face_not_watertight(self):
         mesh = close_solid(grid([[3.0, 3.0], [3.0, 3.0]]))

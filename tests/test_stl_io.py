@@ -6,7 +6,8 @@ import pytest
 
 from relieforge.errors import ByteParseError
 from relieforge.heightfield import HeightGrid
-from relieforge.mesh import TriangleMesh, close_solid, tessellate_top, validate
+from relieforge import stl_io
+from relieforge.mesh import TriangleMesh, close_solid, face_normals, tessellate_top, validate
 from relieforge.stl_io import (
     AsciiStlError,
     StlTruncationError,
@@ -67,6 +68,22 @@ class TestWriteBinary:
         buf = io.BytesIO()
         write_binary_stl(one_triangle(), buf)
         assert buf.getvalue()[-2:] == b"\x00\x00"
+
+
+    def test_blocks_match_one_shot_records(self):
+        # Two full blocks and one facet more, against every record built at once.
+        n = 2 * stl_io._CHUNK + 1
+        rng = np.random.default_rng(5)
+        mesh = TriangleMesh(rng.uniform(-50.0, 50.0, (n, 3)), rng.integers(0, n, (n, 3)))
+        corners = mesh.vertices[mesh.triangles]
+        record = np.dtype([("normal", "<f4", (3,)), ("vertices", "<f4", (3, 3)), ("attr", "<u2")])
+        records = np.zeros(n, dtype=record)
+        records["normal"] = face_normals(corners).astype(np.float32)
+        records["vertices"] = corners.astype(np.float32)
+        header = b"relieforge binary STL".ljust(80, b"\x00") + struct.pack("<I", n)
+        buf = io.BytesIO()
+        assert write_binary_stl(mesh, buf) == 84 + 50 * n
+        assert buf.getvalue() == header + records.tobytes()
 
 
 class TestWriteAscii:
