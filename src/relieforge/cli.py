@@ -304,7 +304,7 @@ def preview(cfg: PipelineConfig, out_path: str) -> None:
     normalized = np.zeros_like(h) if span == 0 else (h - h.min()) / span
     # Grid row 0 sits at the south (bottom) edge; PGM rows scan top-down.
     img = image_io.GrayImage(values=normalized[::-1, :])
-    data = image_io.encode_pgm(img, maxval=255)
+    data = image_io.encode_pgm(img)
     _write_atomically(out_path, lambda fh: fh.write(data))
 
 

@@ -222,15 +222,10 @@ def decode_pgm(data: bytes) -> RasterImage:
     return RasterImage(samples)
 
 
-def encode_pgm(img: GrayImage, maxval: int = 255) -> bytes:
-    """Encode a GrayImage as binary P5, rounding values to maxval steps."""
-    if not 1 <= maxval <= 65535:
-        raise ValueError(f"maxval {maxval} outside [1, 65535]")
-    header = f"P5\n{img.width} {img.height}\n{maxval}\n".encode("ascii")
-    raw = np.rint(img.values * maxval).astype(np.uint16 if maxval > 255 else np.uint8)
-    if maxval > 255:
-        raw = raw.astype(">u2")
-    return header + raw.tobytes()
+def encode_pgm(img: GrayImage) -> bytes:
+    """Encode a GrayImage as 8-bit binary P5, rounding values to 1/255 steps."""
+    header = f"P5\n{img.width} {img.height}\n255\n".encode("ascii")
+    return header + np.rint(img.values * 255).astype(np.uint8).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -432,11 +427,11 @@ def decode_png(data: bytes) -> RasterImage:
 def to_grayscale(img: RasterImage) -> GrayImage:
     """Collapse a RasterImage to intensities.
 
-    1-channel input is copied unchanged; RGB uses Rec. 601 luma
+    1-channel input is passed through unchanged; RGB uses Rec. 601 luma
     (0.299 R + 0.587 G + 0.114 B), whose weights sum to exactly 1.
     """
     if img.channels == 1:
-        return GrayImage(img.samples[:, :, 0].copy())
+        return GrayImage(img.samples[:, :, 0])
     r, g, b = img.samples[:, :, 0], img.samples[:, :, 1], img.samples[:, :, 2]
     # _LUMA_R * r + (_LUMA_G * g + _LUMA_B * b) in one output and one
     # scratch array. Sum green+blue first: 0.587 + 0.114 is exactly 0.701

@@ -12,9 +12,10 @@ coordinates: sample (r, c) is vertex r*cols + c before the vertices
 inside blocks are dropped, and a rim sample has a base corner of its own
 only where it stands above the base plane, so a wall triangle collapses
 exactly when two of its corner indices coincide. close_solid refuses a
-grid whose vertices would merge once narrowed to the float32 of an STL
-file, so every solid it returns is also watertight as written. validate
-measures any mesh without modifying it.
+grid whose vertices would merge, or whose heights above the base plane
+would round onto it, once narrowed to the float32 of an STL file, so
+every solid it returns is also watertight as written and no part of it
+flattens onto its base. validate measures any mesh without modifying it.
 """
 
 from __future__ import annotations
@@ -242,11 +243,12 @@ def close_solid(g: HeightGrid, base_z: float = 0.0) -> TriangleMesh:
     base. A grid with no sample above base_z has no volume and raises
     GeometryError.
 
-    STL files store float32, so the solid must also stay watertight
+    STL files store float32, so the solid must also stay as measured
     once its coordinates are narrowed: GeometryError refuses a grid
-    whose neighbouring x or y positions coincide in float32, or whose
-    rim heights above base_z round onto it, because either would merge
-    vertices in the file. Nothing is built before these checks.
+    whose neighbouring x or y positions coincide in float32, because
+    that would merge vertices in the file, or with any height above
+    base_z that rounds onto it, which would flatten that part of the
+    solid onto its base. Nothing is built before these checks.
     """
     heights = g.heights
     if not abs(base_z) <= FLOAT32_MAX:
@@ -254,11 +256,10 @@ def close_solid(g: HeightGrid, base_z: float = 0.0) -> TriangleMesh:
     for axis, positions in (("x", g.x), ("y", g.y)):
         if not (np.diff(positions.astype(np.float32)) > 0).all():
             raise GeometryError(f"neighbouring {axis} positions coincide in float32")
-    rim = np.concatenate(_rim_chains(heights))
-    if (rim[rim > base_z].astype(np.float32) <= np.float32(base_z)).any():
-        raise GeometryError(
-            f"rim heights above the base plane z={base_z} round onto it in float32"
-        )
+    # Rounding is monotone, so the lowest height above base_z decides.
+    lowest = heights.min(where=heights > base_z, initial=np.inf)
+    if np.float32(lowest) <= np.float32(base_z):
+        raise GeometryError(f"heights above the base plane z={base_z} round onto it in float32")
     if heights.min() < base_z:
         raise InvertedSolidError(
             f"height {heights.min()} lies below the base plane z={base_z}"

@@ -14,19 +14,21 @@ float32, formatting each distinct bit pattern once, so its bytes depend
 only on the mesh and a binary/ASCII pair of the same mesh parses back
 bit-identically.
 
-The ASCII reader works on the raw bytes in whole-array passes. Lines
-break as str.splitlines() breaks them and split into words on
-str.split() whitespace; keywords match in any case, blank lines are
-skipped, and the first offending line is reported by that line number.
-See _parse_ascii for the grammar.
+The ASCII reader matches one compiled pattern per facet over the raw
+bytes and converts the captured numbers a block of facets at a time;
+where the pattern stops, a line walker reports the first offending line
+or accepts the end of the solid. Lines break as str.splitlines() breaks
+them and split into words on str.split() whitespace; keywords match in
+any case and blank lines are skipped. See _parse_ascii for the grammar.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
 import struct
 from os import PathLike
-from typing import BinaryIO, Iterable, Iterator
+from typing import BinaryIO, Iterable, Iterator, NoReturn
 
 import numpy as np
 
@@ -179,169 +181,117 @@ def _parse_binary(data: bytes) -> TriangleMesh:
     return _mesh_from_soup(corners)
 
 
-# ASCII byte classes: str.split() whitespace, str.splitlines() breaks
-# ("\r\n" is one break, handled in _line_of), and lower-casing.
-_SPACE = np.zeros(256, dtype=bool)
-_SPACE[list(b"\t\n\v\f\r\x1c\x1d\x1e\x1f ")] = True
-_BREAK = np.zeros(256, dtype=bool)
-_BREAK[list(b"\n\v\f\r\x1c\x1d\x1e")] = True
-_LOWER = np.arange(256, dtype=np.uint8)
-_LOWER[ord("A") : ord("Z") + 1] += 32
-
-
-def _code(word: str) -> np.uint64:
-    return np.frombuffer(word.encode("ascii").ljust(8), dtype="<u8")[0]
-
-
-# The seven lines of a facet: leading keywords, and whether three
-# numbers follow them (exactly, with nothing after).
-_FACET_LINES = (
-    (("facet", "normal"), True),
-    (("outer", "loop"), False),
-    (("vertex",), True),
-    (("vertex",), True),
-    (("vertex",), True),
-    (("endloop",), False),
-    (("endfacet",), False),
+# ASCII grammar classes: str.splitlines() ends a line at each byte of
+# _BREAKS ("\r\n" counts once), and str.split() also splits on " \t\x1f".
+# Bytes-mode \s would leave out "\x1c"-"\x1f", so the classes are spelt out.
+_BREAKS = b"\n\r\v\f\x1c\x1d\x1e"
+_S = rb"[ \t\x1f]"  # whitespace inside a line
+_EOL = rb"(?=[\n\r\v\f\x1c-\x1e]|\Z)"
+_GAP = rb"[ \t\x1f\n\r\v\f\x1c-\x1e]*"  # line breaks and blank lines
+_XYZ = (_S + rb"+([^ \t\x1f\n\r\v\f\x1c-\x1e]+)") * 3 + _S + rb"*" + _EOL
+_TAIL = rb"(?:" + _S + rb"[^\n\r\v\f\x1c-\x1e]*)?" + _EOL  # ignored words
+_LINE_PATTERN = re.compile(_GAP + rb"([^\n\r\v\f\x1c-\x1e]*)")  # the next non-blank line
+_SOLID_PATTERN = re.compile(_GAP + rb"solid" + _TAIL, re.I)
+_FACET_PATTERN = re.compile(
+    _GAP + rb"facet" + _S + rb"+normal" + _XYZ
+    + _GAP + rb"outer" + _S + rb"+loop" + _TAIL
+    + (_GAP + rb"vertex" + _XYZ) * 3
+    + _GAP + rb"endloop" + _TAIL
+    + _GAP + rb"endfacet" + _TAIL,
+    re.I,
 )
-_WORD0 = np.array([_code(words[0]) for words, _ in _FACET_LINES])
-_WORD1 = np.array([_code(words[1]) if len(words) > 1 else 0 for words, _ in _FACET_LINES])
-_TWO_WORDS = _WORD1 != 0
-_EXACT_TOKENS = np.array([len(words) + 3 if nums else 0 for words, nums in _FACET_LINES])
-_VERTEX_LINE = _WORD0 == _code("vertex")
-_SOLID, _ENDSOLID = _code("solid"), _code("endsolid")
+
+# Facets whose number words are held at once while parsing ASCII.
+_PARSE_CHUNK = 1 << 12
 
 
-# Number tokens parsed per pass.
-_NUMBER_BLOCK = 1 << 16
+def _float32(values) -> np.ndarray:
+    with np.errstate(over="ignore"):
+        return np.asarray(values, dtype=np.float64).astype(np.float32)
 
 
-def _tokens(buf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Start and end offsets of the maximal non-whitespace runs."""
-    n = len(buf)
-    space = _SPACE[buf]
-    edge = np.zeros(n + 1, dtype=bool)
-    if n:
-        edge[0], edge[n] = not space[0], not space[-1]
-        np.not_equal(space[1:], space[:-1], out=edge[1:n])
-    del space
-    bounds = np.flatnonzero(edge)
-    del edge
-    bounds = bounds.astype(np.int32 if n < 2**31 else np.int64)
-    return bounds[0::2], bounds[1::2]
+def _walk(data: bytes, pos: int) -> None:
+    """Check ASCII STL from ``pos`` on, one line at a time.
 
-
-def _line_of(buf: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """1-based str.splitlines() line number of each offset."""
-    breaks = np.flatnonzero(_BREAK[buf])
-    after = buf[np.minimum(breaks + 1, len(buf) - 1)]
-    breaks = breaks[~((buf[breaks] == ord("\r")) & (after == ord("\n")))]
-    return (np.searchsorted(breaks, starts) + 1).astype(starts.dtype)
-
-
-def _rows(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray, width: int) -> np.ndarray:
-    """Each token as a row of ``width`` bytes, padded with spaces.
-
-    ``starts`` must be sorted; bytes of a row past its token (or past
-    the end of ``buf``) read as spaces.
+    ``pos`` is 0, before the solid line, or the end of the solid line or
+    of an endfacet line. Raises the first offending line's AsciiStlError;
+    returns if only whole facets follow, which it does not record, then
+    endsolid and blank lines.
     """
-    def items(source: np.ndarray) -> np.ndarray:
-        # Every width-byte window of source, as one overlapping void item per offset.
-        return np.ndarray((len(source) - width + 1,), f"V{width}", buffer=source, strides=(1,))
+    lines = (
+        (line.start(1), words)
+        for line in _LINE_PATTERN.finditer(data, pos)
+        if (words := line[1].decode("ascii").split())
+    )
+    last = pos or None  # an offset on the last non-blank line read
 
-    rows = np.empty(len(starts), dtype=f"V{width}")
-    lo = max(len(buf) - width + 1, 0)  # windows from lo on run off the end
-    split = int(np.searchsorted(starts, lo))
-    if split:
-        rows[:split] = items(buf)[starts[:split]]
-    tail = np.concatenate([buf[lo:], np.full(width, ord(" "), dtype=np.uint8)])
-    rows[split:] = items(tail)[starts[split:] - lo]
-    rows = rows.view(np.uint8).reshape(-1, width)
-    rows[np.arange(width) >= lengths[:, None]] = ord(" ")
-    return rows
+    def fail(message: str) -> NoReturn:
+        if last is None:
+            raise AsciiStlError(message, line=0)
+        breaks = sum(data.count(c, 0, last) for c in _BREAKS) - data.count(b"\r\n", 0, last)
+        raise AsciiStlError(message, line=breaks + 1)
 
-
-def _keywords(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Lower-cased tokens as _code() integers; tokens over 8 bytes give 0."""
-    codes = _LOWER[_rows(buf, starts, lengths, 8)].view("<u8").ravel()
-    codes[lengths > 8] = 0
-    return codes
-
-
-def _float64(fields: np.ndarray) -> tuple[np.ndarray, int]:
-    """Parse an ``S`` array; returns the values before the first field
-    float() rejects, and that field's index (len(fields) if none)."""
-    try:
-        return fields.astype(np.float64), len(fields)
-    except ValueError:
-        lo, hi = 0, len(fields)  # all before lo parse; the first failure is below hi
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            try:
-                fields[lo:mid].astype(np.float64)
-                lo = mid
-            except ValueError:
-                hi = mid
-        return fields[:lo].astype(np.float64), lo
-
-
-def _numbers(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, int]:
-    """float() of each token, and the index of the first it rejects.
-
-    Values from that index on are not meaningful. Tokens become
-    space-padded ``S`` fields, grouped by a power-of-two width above
-    their length: the fields take at most about twice the bytes of the
-    tokens, and a trailing NUL byte, which float() rejects, never ends
-    a field, where numpy would drop it. Blocks of tokens bound the
-    memory held at once.
-    """
-    values = np.empty(len(starts))
-    for lo in range(0, len(starts), _NUMBER_BLOCK):
-        block = slice(lo, lo + _NUMBER_BLOCK)
-        exponent = np.maximum(np.frexp(lengths[block])[1], 4)
-        first_bad = len(starts)
-        for e in np.unique(exponent):
-            pick = np.flatnonzero(exponent == e)
-            width = 1 << int(e)
-            fields = _rows(buf, starts[block][pick], lengths[block][pick], width)
-            parsed, bad = _float64(fields.view(f"S{width}").ravel())
-            values[lo + pick[:bad]] = parsed
-            if bad < len(pick):
-                first_bad = min(first_bad, lo + int(pick[bad]))
-        if first_bad < len(starts):
-            return values, first_bad
-    return values, len(starts)
-
-
-def _line_error(tokens: list[str], lineno: int, words: tuple[str, ...]) -> AsciiStlError:
-    """The error for a line the grammar rejects, checked in this order:
-    leading keywords, count of numbers, each number, finite vertex."""
-    if [w.lower() for w in tokens[: len(words)]] != list(words):
-        return AsciiStlError(f"expected '{' '.join(words)}', got '{' '.join(tokens)}'", line=lineno)
-    rest = tokens[len(words) :]
-    if len(rest) != 3:
-        return AsciiStlError(f"expected 3 numbers, got '{' '.join(rest)}'", line=lineno)
-    for tok in rest:
+    def take() -> list[str]:
+        nonlocal last
         try:
-            float(tok)
-        except ValueError:
-            return AsciiStlError(f"bad number '{tok}'", line=lineno)
-    return AsciiStlError(f"non-finite vertex '{' '.join(rest)}'", line=lineno)
+            last, words = next(lines)
+        except StopIteration:
+            fail("unexpected end of file inside solid")
+        return words
+
+    def expect(words: list[str], *keywords: str, numbers: bool = False) -> None:
+        if [w.lower() for w in words[: len(keywords)]] != list(keywords):
+            fail(f"expected '{' '.join(keywords)}', got '{' '.join(words)}'")
+        if not numbers:
+            return
+        rest = words[len(keywords) :]
+        if len(rest) != 3:
+            fail(f"expected 3 numbers, got '{' '.join(rest)}'")
+        for word in rest:
+            try:
+                float(word)
+            except ValueError:
+                fail(f"bad number '{word}'")
+        if keywords == ("vertex",) and not np.isfinite(_float32([float(w) for w in rest])).all():
+            fail(f"non-finite vertex '{' '.join(rest)}'")
+
+    if pos == 0:
+        expect(take(), "solid")
+    while (words := take())[0].lower() != "endsolid":
+        expect(words, "facet", "normal", numbers=True)
+        expect(take(), "outer", "loop")
+        for _ in range(3):
+            expect(take(), "vertex", numbers=True)
+        expect(take(), "endloop")
+        expect(take(), "endfacet")
+    for last, words in lines:
+        fail(f"content after endsolid: '{' '.join(words)}'")
 
 
 def _parse_ascii(data: bytes) -> TriangleMesh:
-    """Parse ASCII STL text in whole-array passes over its bytes.
+    """Parse ASCII STL text with one pattern per facet and a line walker.
 
     Grammar: a ``solid`` line, then seven lines per facet (``facet
     normal`` n n n / ``outer loop`` / three ``vertex`` x y z /
     ``endloop`` / ``endfacet``), then ``endsolid``, after which only
     blank lines may follow. Keywords match in any case; lines split on
-    str.split() whitespace, and blank lines are skipped. Tokens after
+    str.split() whitespace, and blank lines are skipped. Words after
     the keywords of the solid, outer loop, endloop, endfacet and
     endsolid lines are ignored; number lines must hold exactly three
     numbers, each in float()'s grammar. Numbers narrow str -> float64 ->
     float32, so ASCII and binary files of the same mesh parse to
     bit-identical coordinates, and a vertex must stay finite in float32.
+
+    _FACET_PATTERN matches one whole facet and captures its twelve
+    numbers. It is applied facet after facet from the end of the solid
+    line, and float() reads the words of up to _PARSE_CHUNK facets at a
+    time. Where the pattern stops, or where a block holds a word float()
+    rejects or a vertex that overflows float32, _walk reads on line by
+    line: it raises the first offending line's error, or accepts
+    endsolid and blank lines. Every repeat in the patterns is followed
+    by a class disjoint from its own, so a match backtracks over each
+    byte at most a fixed number of times and the whole parse takes time
+    linear in the file's size.
 
     Errors name the first offending line, numbered as str.splitlines()
     numbers lines ("\n", "\r", "\r\n", "\v", "\f" and "\x1c"-"\x1e"
@@ -349,69 +299,31 @@ def _parse_ascii(data: bytes) -> TriangleMesh:
     missing line is reported at the last non-blank line; a non-ASCII
     byte at 1 + the number of "\n" before it.
     """
-    buf = np.frombuffer(data, dtype=np.uint8)
-    if len(buf) and buf.max() >= 0x80:
-        line = data.count(b"\n", 0, int(np.argmax(buf >= 0x80))) + 1
-        raise AsciiStlError("not decodable as ASCII text", line=line)
-    starts, ends = _tokens(buf)
-    lengths = ends - starts
-    del ends
-    token_line = _line_of(buf, starts)
-    first = np.flatnonzero(np.diff(token_line, prepend=0))  # first token of each non-blank line
-    lineno = token_line[first]
-    del token_line
-    ntok = np.diff(first, append=len(starts))
-    kw0 = _keywords(buf, starts[first], lengths[first])
-    second = np.minimum(first + 1, max(len(starts) - 1, 0))
-    kw1 = np.where(ntok > 1, _keywords(buf, starts[second], lengths[second]), 0)
-
-    # Line k >= 1 plays role (k - 1) % 7 of a facet; the solid ends at
-    # the first "endsolid" in a facet's first place.
-    role = (np.arange(len(first)) - 1) % 7
-    closing = np.flatnonzero((kw0 == _ENDSOLID) & (role == 0))
-    stop = int(closing[0]) if len(closing) else len(first)
-    r = role[1:stop]
-    fits = (
-        (kw0[1:stop] == _WORD0[r])
-        & (~_TWO_WORDS[r] | (kw1[1:stop] == _WORD1[r]))
-        & ((_EXACT_TOKENS[r] == 0) | (ntok[1:stop] == _EXACT_TOKENS[r]))
-    )
-    if len(first) and kw0[0] != _SOLID:
-        bad = 0
-    else:
-        bad = 1 + int(np.argmin(fits)) if not fits.all() else stop
-    del kw0, kw1, fits
-
-    # Three numbers close each facet normal and vertex line before the
-    # first misfit; a vertex must also be finite once narrowed.
-    numbered = np.flatnonzero(_EXACT_TOKENS[role[1:bad]] > 0) + 1
-    nums_from = first[numbered] + np.where(role[numbered] == 0, 2, 1)
-    picks = (nums_from[:, None] + np.arange(3)).ravel()
-    values, bad_token = _numbers(buf, starts[picks], lengths[picks])
-    if bad_token < len(values):
-        bad = min(bad, int(numbered[bad_token // 3]))
-    whole = numbered[: bad_token // 3]
-    vertex = _VERTEX_LINE[role[whole]]
-    with np.errstate(over="ignore"):
-        xyz = values[: 3 * len(whole)].reshape(-1, 3)[vertex].astype(np.float32)
-    finite = np.isfinite(xyz).all(axis=1)
-    if not finite.all():
-        bad = min(bad, int(whole[vertex][np.argmin(finite)]))
-
-    def words(k: int) -> list[str]:
-        span = slice(first[k], first[k] + ntok[k])
-        return [data[a : a + n].decode("ascii") for a, n in zip(starts[span], lengths[span])]
-
-    if bad < stop:
-        keywords = ("solid",) if bad == 0 else _FACET_LINES[role[bad]][0]
-        raise _line_error(words(bad), int(lineno[bad]), keywords)
-    if stop == len(first):
-        last = int(lineno[-1]) if len(first) else 0
-        raise AsciiStlError("unexpected end of file inside solid", line=last)
-    if stop + 1 < len(first):
-        extra = " ".join(words(stop + 1))
-        raise AsciiStlError(f"content after endsolid: '{extra}'", line=int(lineno[stop + 1]))
-    return _mesh_from_soup(xyz.reshape(-1, 3, 3))
+    if not data.isascii():
+        at = re.search(rb"[\x80-\xff]", data).start()
+        raise AsciiStlError("not decodable as ASCII text", line=data.count(b"\n", 0, at) + 1)
+    head = _SOLID_PATTERN.match(data)
+    if head is None:
+        _walk(data, 0)  # raises: the first non-blank line is no solid line
+    pos, blocks = head.end(), []
+    while True:
+        start, words = pos, []
+        while len(words) < 12 * _PARSE_CHUNK and (facet := _FACET_PATTERN.match(data, pos)):
+            words += facet.groups()
+            pos = facet.end()
+        try:
+            values = np.fromiter(map(float, words), np.float64, len(words))
+            corners = _float32(values.reshape(-1, 4, 3)[:, 1:])
+            whole = np.isfinite(corners).all()
+        except ValueError:
+            whole = False
+        if not whole:
+            _walk(data, start)  # raises at the block's first bad number or vertex
+        blocks.append(corners)
+        if len(words) < 12 * _PARSE_CHUNK:
+            break
+    _walk(data, pos)
+    return _mesh_from_soup(np.concatenate(blocks))
 
 
 def read_stl(source: str | PathLike | bytes) -> TriangleMesh:

@@ -309,7 +309,8 @@ class TestExitCodes:
         assert proc.returncode == 4
         assert proc.stdout == ""
         assert proc.stderr.splitlines() == [proc.stderr.strip()]
-        assert proc.stderr.startswith("relieforge: geometry: rim heights") and "float32" in proc.stderr
+        assert proc.stderr.startswith("relieforge: geometry: heights above the base plane")
+        assert "float32" in proc.stderr
         assert not out.exists()
 
     def test_input_parse_p2_huge_dimensions(self, tmp_path):

@@ -194,9 +194,20 @@ class TestCloseSolid:
         # both round to 100000000 in float32, so every rim sample's base
         # corner would land on its top vertex in the file.
         g = grid(np.full((70, 200), 100000001.0))
-        with pytest.raises(GeometryError, match="rim heights"):
+        with pytest.raises(GeometryError, match="heights above the base plane"):
             close_solid(g, base_z=1e8)
         assert analytic_volume(g, base_z=1e8) > 0
+
+    def test_interior_merging_in_float32(self):
+        # The rim lies on the base plane, so only interior samples stand
+        # above it; in float32 they round onto it, and the file's solid
+        # would have no volume.
+        h = np.full((6, 6), 1e8)
+        h[1:-1, 1:-1] = 1e8 + 1
+        g = grid(h)
+        with pytest.raises(GeometryError, match="heights above the base plane"):
+            close_solid(g, base_z=1e8)
+        assert analytic_volume(g, base_z=1e8) == pytest.approx(16.0)
 
     def test_deterministic(self):
         g = grid(np.random.default_rng(0).uniform(1, 5, size=(6, 7)))

@@ -1,5 +1,7 @@
 import io
 import struct
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +17,8 @@ from relieforge.stl_io import (
     write_ascii_stl,
     write_binary_stl,
 )
+
+from test_reference_equivalence import parse_ascii_reference
 
 
 def box_mesh(h=3.0):
@@ -269,3 +273,41 @@ class TestReadStl:
         path = tmp_path / "t.stl"
         write_binary_stl(box_mesh(), path)
         assert read_stl(path).triangle_count == 12
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda n: b"solid" + b" " * n,
+            lambda n: b"solid x\nendsolid" + b" " * n + b"\nX",
+            lambda n: b"solid x\nfacet normal 0 0 0\nouter loop" + b" " * n,
+            lambda n: b"solid x" + b"\n" * n,
+        ],
+        ids=["solid-line", "after-endsolid", "outer-loop-line", "blank-lines"],
+    )
+    def test_ascii_whitespace_runs_read_in_linear_time(self, make):
+        # A pattern whose repeats can split one whitespace run in many
+        # ways backtracks quadratically; at 1 MB that takes hours.
+        data = make(1 << 20)
+        start = time.perf_counter()
+        with pytest.raises(AsciiStlError) as got:
+            read_stl(data)
+        assert time.perf_counter() - start < 5.0
+        with pytest.raises(AsciiStlError) as expected:
+            parse_ascii_reference(data)
+        assert (got.value.line, str(got.value)) == (expected.value.line, str(expected.value))
+
+    def test_ascii_read_memory_is_bounded(self):
+        # 46,188 facets, several parse blocks: the reader holds the words
+        # of one block at a time, never arrays sized by the whole text.
+        g = HeightGrid.from_spacing(np.random.default_rng(0).uniform(0.5, 3.0, size=(150, 150)))
+        buf = io.BytesIO()
+        write_ascii_stl(close_solid(g), buf)
+        data = buf.getvalue()
+        tracemalloc.start()
+        try:
+            mesh = read_stl(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert mesh.triangle_count == 46188 > 4 * stl_io._PARSE_CHUNK
+        assert peak < 2 * len(data)
