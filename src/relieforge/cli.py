@@ -365,8 +365,15 @@ def _add_shaping_flags(p: argparse.ArgumentParser) -> None:
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error in one ``relieforge: usage:`` line, exit 2."""
+
+    def error(self, message: str):
+        self.exit(2, f"{_PROG}: usage: {' '.join(message.split())}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog=_PROG, description="Turn raster images into printable STL reliefs."
     )
     sub = parser.add_subparsers(dest="command", required=True)

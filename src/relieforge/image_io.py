@@ -112,39 +112,30 @@ _WS = b" \t\n\r\v\f"
 _COMMENT = re.compile(rb"#[^\r\n]*")
 _TOKEN = re.compile(rb"[^ \t\n\r\v\f]+")
 _LEADING_ZEROS = re.compile(rb"(?<![0-9])0+(?=[0-9])")
-
-
-def _skip_space(data: bytes, pos: int) -> int:
-    # Whitespace and '#'-to-EOL comments are interchangeable in the header.
-    n = len(data)
-    while pos < n:
-        b = data[pos : pos + 1]
-        if b in _WS:
-            pos += 1
-        elif b == b"#":
-            while pos < n and data[pos : pos + 1] not in b"\r\n":
-                pos += 1
-        else:
-            break
-    return pos
+# Whitespace and '#'-to-EOL comments are interchangeable in the header. A
+# comment ends its line, so the next token is the first one with nothing
+# but blanks before it on its line, counting from where the search starts.
+_HEADER_TOKEN = re.compile(rb"(?:\A|(?<=[\r\n]))[ \t\v\f]*([^ \t\n\r\v\f#]+)")
+# No raster is 10**18 samples wide; the bound keeps every number and
+# product a header can lead to far below int()'s 4300-digit limit.
+_MAX_DIGITS = 18
 
 
 def _read_token(data: bytes, pos: int, what: str) -> tuple[bytes, int, int]:
-    pos = _skip_space(data, pos)
-    if pos >= len(data):
-        raise PgmParseError(f"unexpected end of header, missing {what}", pos)
-    start = pos
-    n = len(data)
-    while pos < n and data[pos : pos + 1] not in _WS and data[pos : pos + 1] != b"#":
-        pos += 1
-    return data[start:pos], start, pos
+    m = _HEADER_TOKEN.search(memoryview(data)[pos:])
+    if m is None:
+        raise PgmParseError(f"unexpected end of header, missing {what}", len(data))
+    return m[1], pos + m.start(1), pos + m.end(1)
 
 
 def _read_int(data: bytes, pos: int, what: str) -> tuple[int, int, int]:
     tok, start, pos = _read_token(data, pos, what)
     if not tok.isdigit():
         raise PgmParseError(f"malformed header: {what} is not a number: {tok!r}", start)
-    return int(tok), start, pos
+    digits = tok.lstrip(b"0") or b"0"
+    if len(digits) > _MAX_DIGITS:
+        raise PgmParseError(f"malformed header: {what} has {len(digits)} digits", start)
+    return int(digits), start, pos
 
 
 def decode_pgm(data: bytes) -> RasterImage:

@@ -1,16 +1,17 @@
 """Heightfield tessellation, solidification, and mesh measurement.
 
-The top surface splits a cell along its (r,c)->(r+1,c+1) diagonal in a
-fixed row-major order. close_solid first merges flat cells above the
-base plane into aligned quadtree blocks, each zipped over the grid
-vertices on its border, and closes the surface with a flat base
-triangulated from the rim alone and perimeter walls, forming a
+Every top surface is one row zip: each row of cells is triangulated
+between the samples kept on its two grid lines, so a cell with four kept
+corners splits along its (r,c)->(r+1,c+1) diagonal, in a fixed row-major
+order. close_solid hides the samples strictly inside flat aligned
+quadtree blocks above the base plane, and closes the surface with a flat
+base triangulated from the rim alone and perimeter walls, forming a
 watertight, outward-oriented solid. Output is deterministic, and since a
-merged block is flat, the cell-by-cell prism sum stays an exact volume
-oracle. Vertex identity comes from the grid indices, not from comparing
-coordinates: sample (r, c) is vertex r*cols + c before the vertices
-inside blocks are dropped, and a rim sample has a base corner of its own
-only where it stands above the base plane, so a wall triangle collapses
+block is flat, the cell-by-cell prism sum stays an exact volume oracle.
+Vertex identity comes from the grid indices, not from comparing
+coordinates: sample (r, c) is vertex r*cols + c before the hidden
+samples are dropped, and a rim sample has a base corner of its own only
+where it stands above the base plane, so a wall triangle collapses
 exactly when two of its corner indices coincide. close_solid refuses a
 grid whose vertices would merge, or whose heights above the base plane
 would round onto it, once narrowed to the float32 of an STL file, so
@@ -121,17 +122,6 @@ def _sample_vertices(g: HeightGrid, samples: np.ndarray) -> np.ndarray:
     return np.column_stack([g.x[c], g.y[r], g.heights.ravel()[samples]])
 
 
-def _cell_triangles(anchors: np.ndarray, cols: int) -> np.ndarray:
-    """Index triples for the grid cells whose corner A has the given indices.
-
-    Per cell with corners A=(r,c), B=(r,c+1), C=(r+1,c), D=(r+1,c+1) the
-    diagonal is A-D; emission order is (A,B,D) then (A,D,C), which winds
-    counter-clockwise seen from +Z.
-    """
-    a, d = anchors, anchors + cols + 1
-    return np.stack([a, a + 1, d, a, d, a + cols], axis=1).reshape(-1, 3)
-
-
 def _rim_chains(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The two rim chains of a 2-D index array, both from [0, 0] to [-1, -1].
 
@@ -157,66 +147,85 @@ def _zipper(chain_a: np.ndarray, chain_b: np.ndarray) -> np.ndarray:
     return np.stack([a[k], b[k - 1], b[k], a[k], b[k], a[k + 1]], axis=1).reshape(-1, 3)
 
 
-def _upsample(mask: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    """Each entry of ``mask`` as a 2x2 patch, padded with False to ``shape``."""
-    out = np.zeros(shape, dtype=bool)
-    out[: 2 * mask.shape[0], : 2 * mask.shape[1]] = mask.repeat(2, axis=0).repeat(2, axis=1)
-    return out
+def _top_triangles(kept: np.ndarray) -> np.ndarray:
+    """Zip each row of cells over the kept samples on its two grid lines.
+
+    ``kept`` is a (rows, cols) mask with its first and last columns set;
+    the triangles index the kept samples in row-major order. Each kept
+    sample at column c >= 1 adds one triangle to the row of cells below
+    its line and one to the row above, whose other corners are the last
+    kept samples before it on each line; on a tie the upper line advances
+    first. Triangles come by row, then column, the lower line's first. A
+    cell whose corners A=(r,c), B=(r,c+1), C=(r+1,c), D=(r+1,c+1) are all
+    kept thus splits into (A,B,D), (A,D,C), counter-clockwise seen from
+    +Z. With V samples kept, P of them on the rim, that makes 2V - P - 2.
+    """
+    cols = kept.shape[1]
+    # last[s] numbers the last kept sample up to s; column 0 is kept, so on s's line.
+    last = np.cumsum(kept.ravel()) - 1
+    # Slot 2 * cell + upper holds the triangle that the cell's corner B,
+    # or D if upper, adds to its row when kept; a is the cell's corner A.
+    slots = np.flatnonzero(np.stack([kept[:-1, 1:], kept[1:, 1:]], axis=-1))
+    cell, upper = slots >> 1, slots & 1
+    a = cell + cell // (cols - 1)
+    # One corner at a time into the result, which keeps the peak low.
+    tris = np.empty((len(a), 3), dtype=np.int64)
+    for k, corner in enumerate([a, a + upper * cols + 1, a + cols + 1 - upper]):
+        tris[:, k] = last[corner]
+    return tris
 
 
-def _flat_blocks(heights: np.ndarray, base_z: float) -> tuple[np.ndarray, list]:
-    """Choose the flat top blocks of an aligned quadtree over the cells.
+def _hidden_samples(heights: np.ndarray, base_z: float) -> np.ndarray:
+    """Mask of the samples strictly inside a flat aligned 2^k x 2^k block, k >= 1.
 
     A cell is flat when its four corners are equal and above base_z; an
-    aligned 2^k x 2^k block is flat when its four children are flat, and
-    then they share one height, because neighbours share their border
-    samples. Every flat block of side >= 2 whose parent is not flat
-    is chosen, so chosen blocks never overlap. Returns the cells outside
-    every chosen block as a (rows-1, cols-1) mask, and per level from the
-    largest side down, (side, row-major (block row, block column) pairs
-    of the chosen blocks as an (m, 2) array).
+    aligned block is flat when its four children are flat, and then they
+    share one height, because neighbours share their border samples.
     """
     z = heights[:-1, :-1]
     flat = (
         (z == heights[:-1, 1:]) & (z == heights[1:, :-1]) & (z == heights[1:, 1:]) & (z > base_z)
     )
-    levels = [flat]
-    while True:  # until a level has no flat block; it ends the list
+    hidden = np.zeros(heights.shape, dtype=bool)
+    side = 1
+    while flat.any():
         f = flat[: flat.shape[0] // 2 * 2, : flat.shape[1] // 2 * 2]
         flat = f[::2, ::2] & f[::2, 1::2] & f[1::2, ::2] & f[1::2, 1::2]
-        levels.append(flat)
-        if not flat.any():
-            break
-    blocks = [
-        (1 << k, np.argwhere(levels[k] & ~_upsample(levels[k + 1], levels[k].shape)))
-        for k in range(len(levels) - 2, 0, -1)
-    ]
-    return ~_upsample(levels[1], levels[0].shape), blocks
+        side *= 2
+        n, m = flat.shape
+        # Views of hidden: each block's middle row and column, less its border. A sample
+        # strictly inside blocks lies on the cross of the smallest of them, and on no other.
+        across = hidden[side // 2 : n * side : side, : m * side].reshape(n, m, side)
+        across[:, :, 1:] = flat[:, :, None]
+        down = hidden[: n * side, side // 2 : m * side : side].reshape(n, side, m)
+        down[:, 1:] = flat[:, None]
+    return hidden
 
 
 def tessellate_top(g: HeightGrid) -> TriangleMesh:
     """Triangulate the height surface alone (open, not printable).
 
-    One vertex per sample at (x[c], y[r], h[r,c]), two triangles per
-    cell; normals face +Z-ward.
+    One vertex per sample at (x[c], y[r], h[r,c]); _top_triangles with
+    every sample kept splits each cell into two triangles in row-major
+    order. Normals face +Z-ward.
     """
-    cells = np.arange((g.rows - 1) * (g.cols - 1))
     vertices = _sample_vertices(g, np.arange(g.rows * g.cols))
-    return TriangleMesh(vertices, _cell_triangles(cells + cells // (g.cols - 1), g.cols))
+    return TriangleMesh(vertices, _top_triangles(np.ones((g.rows, g.cols), dtype=bool)))
 
 
 def close_solid(g: HeightGrid, base_z: float = 0.0) -> TriangleMesh:
     """Close the height surface into a printable solid.
 
-    The top merges flat cells into blocks: _flat_blocks picks aligned
-    2^k x 2^k blocks of side >= 2 whose cells all have four equal
-    corners at one height strictly above base_z. Each block is zipped
-    (see _zipper) over every grid vertex on its border into 4s - 2
-    triangles facing +Z, so a neighbour shares each border vertex and
-    no vertex lies inside another triangle's edge. Every other cell
-    splits into (A,B,D), (A,D,C) in row-major order. Blocks on the base
-    plane are never merged: at a rim corner their chords would be the
-    base's chords too.
+    The top is the row zip of _top_triangles over the samples that
+    _hidden_samples keeps, 2V - P - 2 triangles: it hides those strictly
+    inside an aligned 2^k x 2^k block whose cells all have four equal
+    corners at one height strictly above base_z. Every triangle has its
+    corners on two neighbouring grid lines, and every kept sample is a
+    vertex of the triangles around it, so no vertex lies inside another
+    triangle's edge. Inside a block the triangles are flat and face +Z;
+    every other cell splits into (A,B,D), (A,D,C). Blocks on the base
+    plane hide nothing: at a rim corner their chords would be the base's
+    chords too.
 
     The base at z = base_z triangulates the rim polygon alone by zipping
     two rim chains that run from the SW to the NE corner: ``a`` along
@@ -232,12 +241,12 @@ def close_solid(g: HeightGrid, base_z: float = 0.0) -> TriangleMesh:
     edges, so there it starts from ``b`` instead, with each triangle
     wound the other way; no base edge is then a top edge.
 
-    Vertices are found by grid index, not by coordinates: the samples no
-    block hides inside come first in row-major order, then the base
-    corners of their own.
+    Vertices are found by grid index, not by coordinates: the kept
+    samples come first in row-major order, then the base corners of
+    their own.
 
-    Triangles come as unmerged cells, then blocks from the largest side
-    down (row-major within a side), then base, then walls. With at least
+    Triangles come as top (row by row, see _top_triangles), then base,
+    then walls. With at least
     one sample above base_z the result is watertight with outward
     normals; where top samples lie on the base plane the top touches the
     base. A grid with no sample above base_z has no volume and raises
@@ -267,25 +276,16 @@ def close_solid(g: HeightGrid, base_z: float = 0.0) -> TriangleMesh:
     if not heights.max() > base_z:
         raise GeometryError(f"every height lies on the base plane z={base_z}: no volume")
     rows, cols = g.rows, g.cols
-    n = rows * cols
-    top = np.arange(n).reshape(rows, cols)
+    top = np.arange(rows * cols).reshape(rows, cols)
 
-    unmerged, blocks = _flat_blocks(heights, base_z)
-    cells = np.flatnonzero(unmerged)
-    top_tris = [_cell_triangles(cells + cells // (cols - 1), cols)]
-    hidden = np.zeros(n, dtype=bool)
-    for side, rc in blocks:
-        anchors = rc[:, 0] * (side * cols) + rc[:, 1] * side
-        block = _zipper(*_rim_chains(top[: side + 1, : side + 1]))[:, ::-1]
-        top_tris.append((anchors[:, None, None] + block).reshape(-1, 3))
-        hidden[anchors[:, None] + top[1:side, 1:side].ravel()] = True
+    hidden = _hidden_samples(heights, base_z)
+    top_tris = _top_triangles(~hidden)
 
-    # index[s] is the vertex of sample s, base[s] its base corner: a
-    # vertex of its own, numbered after the top ones, for a rim sample
+    # index[s] is the vertex of a kept sample s, base[s] its base corner:
+    # a vertex of its own, numbered after the top ones, for a rim sample
     # above base_z, and index[s] itself otherwise.
     kept = np.flatnonzero(~hidden)
-    index = np.zeros(n, dtype=np.int64)
-    index[kept] = np.arange(len(kept))
+    index = np.cumsum(~hidden.ravel()) - 1
     rim = np.concatenate([top[0], top[1:-1, [0, -1]].ravel(), top[-1]])
     raised = rim[heights.ravel()[rim] > base_z]
     base = index.copy()
@@ -310,7 +310,7 @@ def close_solid(g: HeightGrid, base_z: float = 0.0) -> TriangleMesh:
     wall_tris = np.stack([bf, bt, it, bf, it, i_f], axis=1).reshape(-1, 3)
     keep = np.stack([bt != it, bf != i_f], axis=1).ravel()
 
-    triangles = np.vstack([index[np.vstack(top_tris)], base[zipper], wall_tris[keep]])
+    triangles = np.vstack([top_tris, base[zipper], wall_tris[keep]])
     skipped = len(keep) - int(np.count_nonzero(keep))
     return TriangleMesh(vertices, triangles, degenerate_skipped=skipped)
 
@@ -377,8 +377,9 @@ def analytic_volume(g: HeightGrid, base_z: float = 0.0) -> float:
     Each triangle of the fixed diagonal split contributes
     (cell area / 2) * (mean corner height - base_z); its oblique top is
     planar, so the prism mean is exact, not an approximation. The cells
-    close_solid merges into a block are flat at one height, so their
-    prisms sum to the block's whatever its triangulation.
+    of a block whose inner samples close_solid hides are flat at one
+    height, so their prisms sum to the block's whatever the row zip
+    makes of it.
     """
     h = g.heights
     if h.min() < base_z:

@@ -1,5 +1,5 @@
 """Shared fixtures: hand-built PGM/PNG bytes, the 4x4 logo stand-in and
-a loop oracle for the flat blocks close_solid merges.
+a loop oracle for the flat blocks whose inner samples close_solid hides.
 
 The PNG builder here is written against the file-format documents, not
 against the package decoder, so decode tests check two independent
@@ -85,16 +85,17 @@ def logo_pgm(tmp_path, logo_pgm_bytes):
 
 
 def flat_blocks_reference(heights, base_z):
-    """The flat top blocks close_solid merges, found by loops.
+    """The flat top blocks close_solid hides samples inside, found by loops.
 
     An aligned block of side s = 2^k >= 2 whose (s+1)^2 samples all equal
     one height above base_z qualifies. Blocks are taken from the largest
     side down, row-major within a side, skipping cells already taken.
-    Returns [(row, col, side)] and the (rows-1, cols-1) mask of the cells
-    outside every block.
+    Returns [(row, col, side)] and the (rows, cols) mask of the samples
+    strictly inside a block.
     """
     rows, cols = heights.shape
     taken = np.zeros((rows - 1, cols - 1), dtype=bool)
+    hidden = np.zeros((rows, cols), dtype=bool)
     blocks = []
     side = 1
     while 2 * side <= min(rows, cols) - 1:
@@ -106,5 +107,33 @@ def flat_blocks_reference(heights, base_z):
                 if not taken[r, c] and patch.min() == patch.max() > base_z:
                     blocks.append((r, c, side))
                     taken[r : r + side, c : c + side] = True
+                    hidden[r + 1 : r + side, c + 1 : c + side] = True
         side //= 2
-    return blocks, ~taken
+    return blocks, hidden
+
+
+def cells_outside(blocks, rows, cols):
+    """The (rows-1, cols-1) mask of the cells outside every block."""
+    outside = np.ones((rows - 1, cols - 1), dtype=bool)
+    for r, c, side in blocks:
+        outside[r : r + side, c : c + side] = False
+    return outside
+
+
+def top_corners(mesh, blocks, hidden):
+    """Where close_solid's top triangles lie on the grid.
+
+    The top comes first: 2V - P - 2 triangles over the V samples that no
+    block hides, which are numbered first in row-major order, P of them
+    on the rim. Returns the grid rows and columns of each top triangle's
+    corners, both (2V - P - 2, 3), and whether each triangle has all its
+    corners on one block's samples.
+    """
+    rows, cols = hidden.shape
+    kept = np.flatnonzero(~hidden)
+    count = 2 * len(kept) - (2 * (rows + cols) - 4) - 2
+    r, c = np.divmod(kept[mesh.triangles[:count]], cols)
+    inside = np.zeros(count, dtype=bool)
+    for br, bc, side in blocks:
+        inside |= np.all((r >= br) & (r <= br + side) & (c >= bc) & (c <= bc + side), axis=1)
+    return r, c, inside

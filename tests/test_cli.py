@@ -215,21 +215,34 @@ class TestConvert:
         assert a[-3:] == bytes(reversed(b[-3:]))
 
 
+def assert_usage_line(proc, text):
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [proc.stderr.strip()]
+    assert proc.stderr.startswith("relieforge: usage: ") and text in proc.stderr
+
+
 class TestExitCodes:
     def test_usage_missing_output(self, logo_pgm):
-        assert run("convert", logo_pgm).returncode == 2
+        assert_usage_line(run("convert", logo_pgm), "--output/-o")
 
     def test_usage_conflicting_transfer_flags(self, tmp_path, logo_pgm):
         proc = run(
             "convert", logo_pgm, "-o", tmp_path / "x.stl",
             "--preset", "jdrf-relief", "--transfer", "f.tf",
         )
-        assert proc.returncode == 2
+        assert_usage_line(proc, "not allowed with argument --preset")
 
     def test_usage_bad_scale(self, tmp_path, logo_pgm):
-        assert run(
-            "convert", logo_pgm, "-o", tmp_path / "x.stl", "--scale", 0
-        ).returncode == 2
+        proc = run("convert", logo_pgm, "-o", tmp_path / "x.stl", "--scale", 0)
+        assert_usage_line(proc, "argument --scale: must be positive, got 0")
+
+    def test_usage_negative_scale(self, tmp_path, logo_pgm):
+        proc = run("convert", logo_pgm, "-o", tmp_path / "x.stl", "--scale", -1)
+        assert_usage_line(proc, "argument --scale: must be positive, got -1")
+
+    def test_usage_unknown_command(self):
+        assert_usage_line(run("bogus"), "invalid choice: 'bogus'")
 
     def test_input_parse_unrecognized(self, tmp_path):
         bad = tmp_path / "bad.img"
@@ -278,9 +291,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
     def test_usage_nonfinite_float_flag(self, tmp_path, logo_pgm, flag, value):
         proc = run("convert", logo_pgm, "-o", tmp_path / "x.stl", "--pad", f"{flag}={value}")
-        assert proc.returncode == 2
-        assert "finite" in proc.stderr
-        assert "RuntimeWarning" not in proc.stderr
+        assert_usage_line(proc, f"argument {flag}: must be a finite number, got {value}")
 
     @pytest.mark.parametrize(
         "flags", [["--scale", "1e308"], ["--width-mm", "1e308"], ["--base-z=-1e308"]]
@@ -319,6 +330,23 @@ class TestExitCodes:
         proc = run("convert", img, "-o", tmp_path / "x.stl")
         assert proc.returncode == 3
         assert proc.stderr.startswith("relieforge: input-parse: truncated pixel data")
+
+    @pytest.mark.parametrize("field", ["width", "height", "maxval"])
+    def test_input_parse_long_pgm_header_number(self, tmp_path, field):
+        fields = {"width": "2", "height": "1", "maxval": "255"}
+        fields[field] = "9" * 5000
+        header = f"P5 {' '.join(fields.values())}\n".encode()
+        img = tmp_path / "big.pgm"
+        img.write_bytes(header + b"\x00\x01")
+        out = tmp_path / "x.stl"
+        proc = run("convert", img, "-o", out)
+        offset = header.index(b"9" * 5000)
+        assert proc.returncode == 3
+        assert proc.stderr == (
+            f"relieforge: input-parse: malformed header: {field} has 5000 digits"
+            f" (at byte {offset})\n"
+        )
+        assert not out.exists()
 
     def test_output_io_failure(self, tmp_path, logo_pgm):
         proc = run("convert", logo_pgm, "-o", tmp_path / "no-dir" / "x.stl")

@@ -85,8 +85,30 @@ def pngs(draw) -> bytes:
     return PNG_SIGNATURE + b"".join(chunks)
 
 
+@st.composite
+def pgm_headers(draw) -> bytes:
+    """PGM headers whose fields are digit runs up to 6000 long, often with
+    leading zeros, with comments and blanks between them."""
+    blank = st.sampled_from([b" ", b"\n", b"\t", b"\r\n", b"\v\f"])
+    comment = st.binary(max_size=12).map(lambda b: b"#" + b.replace(b"\n", b"") + b"\n")
+    gap = st.lists(st.one_of(blank, comment), min_size=1, max_size=3).map(b"".join)
+    fields = []
+    for _ in range(3):
+        digits = draw(st.sampled_from(["1", "2", "255", "65535", "0"]))
+        if draw(st.booleans()):
+            digits = draw(st.text("0123456789", min_size=1, max_size=6000))
+        zeros = "0" * draw(st.sampled_from([0, 0, 1, 4300, 6000]))
+        fields.append((zeros + digits).encode())
+    header = draw(st.sampled_from([b"P2", b"P5"]))
+    for field in fields:
+        header += draw(gap) + field
+    return header + draw(gap) + draw(st.binary(max_size=16))
+
+
 @SETTINGS
-@given(st.one_of(st.binary(max_size=256), st.sampled_from(PGMS).flatmap(mutated)))
+@given(
+    st.one_of(st.binary(max_size=256), st.sampled_from(PGMS).flatmap(mutated), pgm_headers())
+)
 def test_decode_pgm(data):
     returns_or_raises_relief_error(decode_pgm, data)
 

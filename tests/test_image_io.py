@@ -1,4 +1,5 @@
 import struct
+import time
 import tracemalloc
 import zlib
 
@@ -78,6 +79,53 @@ class TestDecodePgm:
             assert "at byte" in str(e) and e.offset == len(b"P2 1 1 100 ")
         else:
             pytest.fail("no error raised")
+
+    @pytest.mark.parametrize("field", ["width", "height", "maxval"])
+    def test_long_header_number_is_a_parse_error(self, field):
+        # int() refuses more than 4300 digits with a ValueError of its own.
+        fields = {"width": b"2", "height": b"1", "maxval": b"255"}
+        fields[field] = b"9" * 5000
+        header = b"P5 " + b" ".join(fields.values())
+        with pytest.raises(PgmParseError, match=f"{field} has 5000 digits") as e:
+            decode_pgm(header + b"\n\x00\x01")
+        assert e.value.offset == header.index(b"9" * 5000)
+
+    def test_header_numbers_keep_leading_zeros(self):
+        zeros = b"0" * 5000
+        img = decode_pgm(b"P5 " + zeros + b"2 " + zeros + b"1 " + zeros + b"255\n\x00\xff")
+        assert np.array_equal(img.samples[:, :, 0], [[0.0, 1.0]])
+
+    @pytest.mark.parametrize(
+        "filler",
+        [
+            b"#" + b"x" * (1 << 20) + b"\n",
+            b"#\n" * (1 << 19),
+            b" " * (1 << 20),
+            b"\n" * (1 << 20),
+            (b" " * 1023 + b"\n") * 1024,
+        ],
+        ids=["long-comment", "many-comments", "blanks", "newlines", "blank-lines"],
+    )
+    def test_header_whitespace_runs_read_in_linear_time(self, filler):
+        # A pattern whose repeats can split one run in many ways backtracks
+        # quadratically, and one that keeps a frame per comment for
+        # backtracking grows memory with their count.
+        header = b"P5" + filler + b"2" + filler + b"1" + filler
+        data = header + b"255\n\x00\xff"
+        start = time.perf_counter()
+        img = decode_pgm(data)
+        assert time.perf_counter() - start < 5.0
+        tracemalloc.start()
+        try:
+            decode_pgm(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < len(header)
+        assert np.array_equal(img.samples[:, :, 0], [[0.0, 1.0]])
+        with pytest.raises(PgmParseError, match="missing maxval") as e:
+            decode_pgm(header)
+        assert e.value.offset == len(header)
 
     def test_sixteen_bit_p5(self):
         data = make_pgm(np.array([[0, 65535], [32768, 1]]), maxval=65535)

@@ -19,7 +19,7 @@ from relieforge.mesh import (
 )
 from relieforge.stl_io import read_stl, write_binary_stl
 
-from conftest import flat_blocks_reference
+from conftest import cells_outside, flat_blocks_reference, top_corners
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -232,35 +232,48 @@ def plateau_grids(draw):
 
 
 def check_merged_solid(g, base_z):
-    """close_solid(g, base_z) against exact counts from the block oracle."""
+    """close_solid(g, base_z) against exact expectations from the block oracle.
+
+    The samples no block hides are the top vertices, in row-major order.
+    The top has 2V - P - 2 triangles, each with its corners on two
+    neighbouring grid lines. Inside a block they lie at its height, face
+    exactly +Z and cover its footprint; every other one is its cell's
+    (A,B,D) or (A,D,C), in row-major order.
+    """
     rows, cols = g.rows, g.cols
     mesh = close_solid(g, base_z=base_z)
-    blocks, unmerged = flat_blocks_reference(g.heights, base_z)
+    blocks, hidden = flat_blocks_reference(g.heights, base_z)
     rim = np.ones((rows, cols), dtype=bool)
     rim[1:-1, 1:-1] = False
     perimeter = 2 * (rows + cols) - 4
-    cell_tris = 2 * int(np.count_nonzero(unmerged))
-    block_tris = [4 * side - 2 for _, _, side in blocks]
-    expected_triangles = (
-        cell_tris + sum(block_tris) + perimeter - 2 + 2 * perimeter - mesh.degenerate_skipped
-    )
+    kr, kc = np.nonzero(~hidden)
+    top_count = 2 * len(kr) - perimeter - 2
+    expected_triangles = top_count + perimeter - 2 + 2 * perimeter - mesh.degenerate_skipped
     assert mesh.triangle_count == expected_triangles
-    hidden = sum((side - 1) ** 2 for _, _, side in blocks)
     raised_rim = int(np.count_nonzero(g.heights[rim] > base_z))
-    assert len(mesh.vertices) == rows * cols - hidden + raised_rim
+    assert len(mesh.vertices) == len(kr) + raised_rim
+    top_vertices = np.column_stack([g.x[kc], g.y[kr], g.heights[kr, kc]])
+    assert np.array_equal(mesh.vertices[: len(kr)], top_vertices)
     assert np.array_equal(np.unique(mesh.triangles), np.arange(len(mesh.vertices)))
-    corners = mesh.vertices[mesh.triangles]
-    start = cell_tris
-    for (r, c, side), count in zip(blocks, block_tris):
-        tris = corners[start : start + count]
-        start += count
-        assert np.all(tris[:, :, 2] == g.heights[r, c])
-        assert np.array_equal(face_normals(tris), np.tile([0.0, 0.0, 1.0], (count, 1)))
-        assert np.all((tris[:, :, 0] >= g.x[c]) & (tris[:, :, 0] <= g.x[c + side]))
-        assert np.all((tris[:, :, 1] >= g.y[r]) & (tris[:, :, 1] <= g.y[r + side]))
+    assert mesh.triangles[:top_count].max() < len(kr)
+    r, c, in_block = top_corners(mesh, blocks, hidden)
+    assert np.all(r.max(axis=1) - r.min(axis=1) == 1)
+
+    corners = mesh.vertices[mesh.triangles[:top_count]]
+    for br, bc, side in blocks:
+        inside = np.all((r >= br) & (r <= br + side) & (c >= bc) & (c <= bc + side), axis=1)
+        tris = corners[inside]
+        assert np.all(tris[:, :, 2] == g.heights[br, bc])
+        assert np.array_equal(face_normals(tris), np.tile([0.0, 0.0, 1.0], (len(tris), 1)))
         cross = np.cross(tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0])
-        footprint = (g.x[c + side] - g.x[c]) * (g.y[r + side] - g.y[r])
+        footprint = (g.x[bc + side] - g.x[bc]) * (g.y[br + side] - g.y[br])
         assert 0.5 * cross[:, 2].sum() == pytest.approx(footprint, rel=1e-12)
+    anchors = np.flatnonzero(cells_outside(blocks, rows, cols))
+    a = anchors + anchors // (cols - 1)
+    d = a + cols + 1
+    split = np.stack([a, a + 1, d, a, d, a + cols], axis=1).reshape(-1, 3)
+    assert np.array_equal(r[~in_block] * cols + c[~in_block], split)
+
     rep = validate(mesh)
     assert rep.watertight and rep.euler_characteristic == 2
     assert abs(rep.signed_volume - analytic_volume(g, base_z)) <= 1e-9 * max(

@@ -1,16 +1,18 @@
 """The whole-array code paths against the loops and sorts they replaced.
 
 read_stl and validate find vertex and edge identity by sorting integers,
-and close_solid by grid index, with flat top blocks and a base zipped
-from their rims instead of the oracle's cell split and mirrored copy of
-the grid; the ASCII STL writer formats
-each distinct float32 once, and the ASCII parser checks the grammar in
-whole-array passes over the bytes; the PNG decoder undoes scanline
-filters one anti-diagonal at a time and composites alpha in place. The
-functions here are the earlier implementations -- np.unique over float
-rows and edge codes, a Python loop per facet, per line and per byte --
-kept as oracles; hypothesis checks that both give the same meshes,
-counts, bytes, samples and errors.
+and close_solid by grid index, with a top zipped row by row over the
+samples that flat blocks do not hide and a base zipped from the rim,
+instead of the oracle's cell split and mirrored copy of the grid; the
+ASCII STL writer formats each distinct float32 once, and the ASCII
+parser matches one pattern per facet and walks line by line only where
+that pattern stops; the PGM decoder reads P2 samples in whole-array
+passes; the PNG decoder undoes scanline filters one anti-diagonal at a
+time and composites alpha in place. The functions here are the earlier
+implementations -- np.unique over float rows and edge codes, a Python
+loop per facet, per line and per sample -- kept as oracles; hypothesis
+checks that both give the same meshes, counts, bytes, samples and
+errors.
 """
 
 import io
@@ -35,7 +37,7 @@ from relieforge.mesh import (
 )
 from relieforge.stl_io import AsciiStlError, _parse_ascii, read_stl, write_ascii_stl
 
-from conftest import flat_blocks_reference, make_png_filtered
+from conftest import cells_outside, flat_blocks_reference, make_png_filtered, top_corners
 
 SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -277,9 +279,10 @@ def triangle_rows(corners: np.ndarray) -> list:
 @example(plateau((5, 6), 3))
 @example(plateau((9, 7), 1))
 def test_close_solid_matches_coordinate_weld(case):
-    # The merged blocks and the zipper base differ from the oracle's cell
-    # split and mirrored base. The unmerged cells and the walls are the
-    # same, the blocks cover their footprints flat and facing +Z, the base
+    # The row zip inside flat blocks and the zipper base differ from the
+    # oracle's cell split and mirrored base. The cells outside every
+    # block and the walls are the same, the blocks are covered flat and
+    # facing +Z by triangles on two neighbouring grid lines, the base
     # covers the footprint facing -Z, and no grid that the oracle closes
     # is left open.
     g, base_z = case
@@ -290,18 +293,20 @@ def test_close_solid_matches_coordinate_weld(case):
     mesh = close_solid(g, base_z=base_z)
     ref = close_solid_reference(g, base_z=base_z)
     assert mesh.degenerate_skipped == ref.degenerate_skipped
-    blocks, unmerged = flat_blocks_reference(g.heights, base_z)
+    blocks, hidden = flat_blocks_reference(g.heights, base_z)
+    r, _, in_block = top_corners(mesh, blocks, hidden)
+    assert np.all(r.max(axis=1) - r.min(axis=1) == 1)
     cells = 2 * (g.rows - 1) * (g.cols - 1)
-    kept = 2 * int(np.count_nonzero(unmerged))
-    merged = sum(4 * side - 2 for _, _, side in blocks)
     zipped = 2 * (g.rows + g.cols) - 6
-    top, block, base, walls = np.split(
-        mesh.vertices[mesh.triangles], [kept, kept + merged, kept + merged + zipped]
+    top, base, walls = np.split(
+        mesh.vertices[mesh.triangles], [len(in_block), len(in_block) + zipped]
     )
     ref_corners = ref.vertices[ref.triangles]
-    ref_top = ref_corners[:cells].reshape(-1, 2, 3, 3)[unmerged.ravel()]
-    assert top.tobytes() == ref_top.tobytes()
+    outside = cells_outside(blocks, g.rows, g.cols)
+    ref_top = ref_corners[:cells].reshape(-1, 2, 3, 3)[outside.ravel()]
+    assert top[~in_block].tobytes() == ref_top.tobytes()
     assert triangle_rows(walls) == triangle_rows(ref_corners[2 * cells :])
+    block = top[in_block]
     block_area = 0.5 * np.cross(block[:, 1] - block[:, 0], block[:, 2] - block[:, 0])[:, 2]
     block_footprint = sum(
         (g.x[c + side] - g.x[c]) * (g.y[r + side] - g.y[r]) for r, c, side in blocks
@@ -309,6 +314,7 @@ def test_close_solid_matches_coordinate_weld(case):
     assert block_area.sum() == pytest.approx(block_footprint, rel=1e-12, abs=0.0)
     assert np.all(block_area > 0)
     assert np.all(block[:, :, 2] == block[:, :1, 2])
+    assert np.array_equal(face_normals(block), np.tile([0.0, 0.0, 1.0], (len(block), 1)))
     assert np.all(base[:, :, 2] == base_z)
     assert np.array_equal(face_normals(base), np.tile([0.0, 0.0, -1.0], (zipped, 1)))
     area = 0.5 * np.linalg.norm(np.cross(base[:, 1] - base[:, 0], base[:, 2] - base[:, 0]), axis=1)
