@@ -188,11 +188,18 @@ def _write_atomically(path: str, write) -> None:
         raise OutputError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
-def _read_bytes(path: str) -> bytes:
+@contextlib.contextmanager
+def _reading(path: str):
+    """Report an OSError raised while reading ``path`` as ``cannot read PATH``."""
     try:
-        return Path(path).read_bytes()
+        yield
     except OSError as exc:
         raise InputParseError(f"cannot read {path}: {exc}") from exc
+
+
+def _read_bytes(path: str) -> bytes:
+    with _reading(path):
+        return Path(path).read_bytes()
 
 
 def _decode_image(path: str) -> image_io.GrayImage:
@@ -283,9 +290,13 @@ def convert(cfg: PipelineConfig) -> RunReport:
 
 
 def inspect(path: str) -> RunReport:
-    """Parse an existing STL and measure it."""
+    """Parse an existing STL and measure it.
+
+    read_stl is given the path, so a binary file's bytes are never held.
+    """
     start = time.perf_counter()
-    mesh = read_stl(_read_bytes(path))
+    with _reading(path):
+        mesh = read_stl(path)
     mesh_report = validate(mesh)
     elapsed = (time.perf_counter() - start) * 1000.0
     return RunReport.from_mesh_report(mesh_report, elapsed_ms=round(elapsed, 3))

@@ -119,6 +119,13 @@ _HEADER_TOKEN = re.compile(rb"(?:\A|(?<=[\r\n]))[ \t\v\f]*([^ \t\n\r\v\f#]+)")
 # No raster is 10**18 samples wide; the bound keeps every number and
 # product a header can lead to far below int()'s 4300-digit limit.
 _MAX_DIGITS = 18
+# Bytes of an offending token an error message quotes.
+_QUOTED = 40
+
+
+def _cut(token: bytes) -> bytes:
+    """The token, or its first _QUOTED bytes and "..." when longer, to quote in an error."""
+    return token if len(token) <= _QUOTED else token[:_QUOTED] + b"..."
 
 
 def _read_token(data: bytes, pos: int, what: str) -> tuple[bytes, int, int]:
@@ -131,7 +138,7 @@ def _read_token(data: bytes, pos: int, what: str) -> tuple[bytes, int, int]:
 def _read_int(data: bytes, pos: int, what: str) -> tuple[int, int, int]:
     tok, start, pos = _read_token(data, pos, what)
     if not tok.isdigit():
-        raise PgmParseError(f"malformed header: {what} is not a number: {tok!r}", start)
+        raise PgmParseError(f"malformed header: {what} is not a number: {_cut(tok)!r}", start)
     digits = tok.lstrip(b"0") or b"0"
     if len(digits) > _MAX_DIGITS:
         raise PgmParseError(f"malformed header: {what} has {len(digits)} digits", start)
@@ -201,8 +208,8 @@ def decode_pgm(data: bytes) -> RasterImage:
         if bad < len(samples):
             start = pos + next(itertools.islice(_TOKEN.finditer(body), bad, None)).start()
             if not is_digit[bad]:
-                raise PgmParseError(f"malformed sample: {samples[bad]!r}", start)
-            value = digits[bad].decode("ascii")
+                raise PgmParseError(f"malformed sample: {_cut(samples[bad])!r}", start)
+            value = _cut(digits[bad]).decode("ascii")
             raise PgmParseError(f"sample {value} exceeds maxval {maxval}", start)
         if len(samples) < count:
             raise PgmParseError(

@@ -44,6 +44,10 @@ __all__ = [
 #: below the derived area floor as degenerate.
 DEFAULT_MIN_FEATURE = 0.001
 
+# Triangles per block in validate and the STL writers, which bounds the
+# temporaries held at once.
+_CHUNK = 1 << 15
+
 
 class InvertedSolidError(GeometryError):
     """A height below the base plane would turn the solid inside out."""
@@ -74,14 +78,6 @@ class TriangleMesh:
     @property
     def triangle_count(self) -> int:
         return len(self.triangles)
-
-    def corners(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per-triangle corner coordinates (v0, v1, v2), each (T, 3)."""
-        return (
-            self.vertices[self.triangles[:, 0]],
-            self.vertices[self.triangles[:, 1]],
-            self.vertices[self.triangles[:, 2]],
-        )
 
 
 @dataclass
@@ -122,15 +118,16 @@ def _sample_vertices(g: HeightGrid, samples: np.ndarray) -> np.ndarray:
     return np.column_stack([g.x[c], g.y[r], g.heights.ravel()[samples]])
 
 
-def _rim_chains(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The two rim chains of a 2-D index array, both from [0, 0] to [-1, -1].
+def _rim_chains(rows: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
+    """The row-major sample indices of the two rim chains of a grid.
 
-    ``a`` runs along row 0 and then up the last column, ``b`` up column
-    0 and then along the last row.
+    Both run from sample (0, 0) to (rows-1, cols-1): ``a`` along row 0
+    and then up the last column, ``b`` up column 0 and then along the
+    last row.
     """
     return (
-        np.concatenate([idx[0], idx[1:, -1]]),
-        np.concatenate([idx[:, 0], idx[-1, 1:]]),
+        np.concatenate([np.arange(cols), np.arange(2, rows + 1) * cols - 1]),
+        np.concatenate([np.arange(rows) * cols, (rows - 1) * cols + np.arange(1, cols)]),
     )
 
 
@@ -275,31 +272,33 @@ def close_solid(g: HeightGrid, base_z: float = 0.0) -> TriangleMesh:
         )
     if not heights.max() > base_z:
         raise GeometryError(f"every height lies on the base plane z={base_z}: no volume")
-    rows, cols = g.rows, g.cols
-    top = np.arange(rows * cols).reshape(rows, cols)
+    cols = g.cols
 
     hidden = _hidden_samples(heights, base_z)
     top_tris = _top_triangles(~hidden)
 
-    # index[s] is the vertex of a kept sample s, base[s] its base corner:
-    # a vertex of its own, numbered after the top ones, for a rim sample
-    # above base_z, and index[s] itself otherwise.
+    # Base and walls use only rim samples, which are never hidden. rim
+    # lists them in row-major order; index[i] is the vertex of rim[i] and
+    # base[i] its base corner: a vertex of its own, numbered after the top
+    # ones, where rim[i] stands above base_z, else index[i]. The chains a
+    # and b hold positions in rim.
     kept = np.flatnonzero(~hidden)
-    index = np.cumsum(~hidden.ravel()) - 1
-    rim = np.concatenate([top[0], top[1:-1, [0, -1]].ravel(), top[-1]])
-    raised = rim[heights.ravel()[rim] > base_z]
+    chains = _rim_chains(g.rows, cols)
+    rim = np.sort(np.concatenate([chains[0], chains[1][1:-1]]))  # the chains share their ends
+    index = np.searchsorted(kept, rim)
+    raised = heights.ravel()[rim] > base_z
     base = index.copy()
-    base[raised] = len(kept) + np.arange(len(raised))
-    vertices = _sample_vertices(g, np.concatenate([kept, raised]))
+    base[raised] = len(kept) + np.arange(np.count_nonzero(raised))
+    vertices = _sample_vertices(g, np.concatenate([kept, rim[raised]]))
     vertices[len(kept):, 2] = base_z
 
-    a, b = _rim_chains(top)
+    a, b = (np.searchsorted(rim, chain) for chain in chains)
     za, zb = (b, a) if cols == 2 else (a, b)
     zipper = _zipper(za, zb)
     if cols == 2:
         zipper = zipper[:, ::-1]
 
-    # Walls: two triangles per rim edge from sample f to sample t. The
+    # Walls: two triangles per rim edge from rim[f] to rim[t]. The
     # edges run counter-clockwise seen from +Z, and the triangles are wound
     # so normals face away from the footprint. (base[f], base[t], t)
     # collapses where t has no base corner of its own, and (base[f], t, f)
@@ -326,43 +325,57 @@ def validate(m: TriangleMesh) -> MeshReport:
     Triangles with an area below DEFAULT_MIN_FEATURE**2 * 1e-6
     (1e-12 mm^2) count as degenerate, as do the ones
     ``degenerate_skipped`` says were left out.
+
+    Triangles are measured _CHUNK at a time, so one block's corners and
+    cross products are held at once; area and volume add up per-block
+    sums, so past one block their last digits may differ from one sum's.
+    Each block writes its directed-edge keys into one array of 3T, sorted
+    once: beside the mesh, validate holds that array and masks as long.
     """
     t = m.triangles
     tri_count = len(t)
-    v0, v1, v2 = m.corners()
-    cross = _triangle_cross(v0, v1, v2)
-    areas = 0.5 * np.linalg.norm(cross, axis=1)
-    degenerate = int(np.count_nonzero(areas < DEFAULT_MIN_FEATURE * DEFAULT_MIN_FEATURE * 1e-6))
-
-    # One sort of the directed edges, keyed (undirected edge, direction):
-    # runs of equal undirected codes give each edge's use count, and equal
-    # neighbouring keys are a repeated directed edge.
     nv = len(m.vertices)
-    a = t.ravel()
-    b = t[:, [1, 2, 0]].ravel()
-    keys = ((np.minimum(a, b) * nv + np.maximum(a, b)) << 1) | (a > b)
+    floor = DEFAULT_MIN_FEATURE * DEFAULT_MIN_FEATURE * 1e-6
+    area = volume6 = 0.0
+    degenerate = 0
+    # Directed edges keyed (undirected edge, direction): runs of equal
+    # undirected codes give each edge's use count, and equal neighbouring
+    # keys are a repeated directed edge.
+    keys = np.empty(3 * tri_count, dtype=np.int64)
+    for lo in range(0, tri_count, _CHUNK):
+        block = t[lo : lo + _CHUNK]
+        v0, v1, v2 = (m.vertices[block[:, k]] for k in range(3))
+        areas = 0.5 * np.linalg.norm(_triangle_cross(v0, v1, v2), axis=1)
+        degenerate += int(np.count_nonzero(areas < floor))
+        area += float(areas.sum())
+        volume6 += float(np.einsum("ij,ij->", v0, np.cross(v1, v2)))
+        a = block.ravel()
+        b = block[:, [1, 2, 0]].ravel()
+        edges = (np.minimum(a, b) * nv + np.maximum(a, b)) << 1
+        keys[3 * lo : 3 * lo + len(a)] = edges | (a > b)
+
     keys.sort()
     directed_dup = bool((keys[1:] == keys[:-1]).any())
-    und = keys >> 1
-    # und[:1] >= 0 is [True], or empty when there are no edges.
-    starts = np.flatnonzero(np.concatenate([und[:1] >= 0, und[1:] != und[:-1]]))
-    und_counts = np.diff(starts, append=len(und))
-    edge_count = len(starts)
-    boundary = int(np.count_nonzero(und_counts == 1))
-    nonmanifold = int(np.count_nonzero(und_counts > 2))
+    keys >>= 1
+    # starts[i]: an undirected edge's run begins at key i; the last entry
+    # closes the final run. A run of one is a start followed by a start,
+    # a run of three or more a start followed by two non-starts.
+    starts = np.ones(len(keys) + 1, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=starts[1:-1])
+    edge_count = int(np.count_nonzero(starts)) - 1
+    boundary = int(np.count_nonzero(starts[:-1] & starts[1:]))
+    nonmanifold = int(np.count_nonzero(starts[:-2] & ~starts[1:-1] & ~starts[2:]))
 
     watertight = tri_count > 0 and boundary == 0 and nonmanifold == 0 and not directed_dup
     box = m.vertices if nv else np.zeros((1, 3))
-
-    signed_volume = float(np.einsum("ij,ij->", v0, np.cross(v1, v2)) / 6.0)
     return MeshReport(
         vertex_count=nv,
         triangle_count=tri_count,
         edge_count=edge_count,
         euler_characteristic=nv - edge_count + tri_count,
         watertight=watertight,
-        signed_volume=signed_volume,
-        surface_area=float(areas.sum()),
+        signed_volume=volume6 / 6.0,
+        surface_area=area,
         bbox_min=box.min(axis=0),
         bbox_max=box.max(axis=0),
         degenerate_count=degenerate + int(m.degenerate_skipped),

@@ -4,7 +4,9 @@ Binary layout is the classic one: an 80-byte header that must not start
 with "solid", a little-endian uint32 triangle count, then one 50-byte
 record per triangle (normal + three vertices as float32 triples, plus a
 zeroed uint16 attribute).  A well-formed file is therefore exactly
-84 + 50*T bytes, which doubles as the truncation check when reading.
+84 + 50*T bytes, which doubles as the truncation check when reading;
+the reader checks it first and then reads the records a block at a
+time into the weld's integer keys.
 
 Both writers recompute normals from the winding in float64 and narrow
 every number to float32 exactly once at serialization, in blocks of
@@ -24,6 +26,7 @@ any case and blank lines are skipped. See _parse_ascii for the grammar.
 
 from __future__ import annotations
 
+import io
 import itertools
 import re
 import struct
@@ -33,7 +36,7 @@ from typing import BinaryIO, Iterable, Iterator, NoReturn
 import numpy as np
 
 from .errors import ByteParseError, LineParseError
-from .mesh import TriangleMesh, face_normals
+from .mesh import _CHUNK, TriangleMesh, face_normals
 
 __all__ = [
     "StlTruncationError",
@@ -67,10 +70,6 @@ def _write_bytes(target, chunks: Iterable[bytes]) -> int:
         target.write(chunk)
         total += len(chunk)
     return total
-
-
-# Facets narrowed per block, which bounds the memory and text held at once.
-_CHUNK = 1 << 15
 
 
 def _facets(mesh: TriangleMesh) -> Iterator[np.ndarray]:
@@ -136,49 +135,99 @@ def write_ascii_stl(
     return _write_bytes(target, itertools.chain([head], blocks, [tail]))
 
 
-def _mesh_from_soup(corner_soup: np.ndarray) -> TriangleMesh:
-    """Weld a finite float32 (T, 3, 3) corner soup into an indexed mesh.
+def _mesh_from_soup(blocks: Iterable[np.ndarray], count: int) -> TriangleMesh:
+    """Weld float32 (n, 3, 3) corner blocks, ``count`` triangles in all, into a mesh.
 
     Corners weld by exact equality -- parsing must not invent tolerances
     the file does not contain. Adding +0.0 turns -0.0 into 0.0; after
-    that, equal finite float32 values have equal bit patterns, so one
-    integer sort of the (x, y, z) bits groups equal corners.
+    that, equal finite float32 values have equal bit patterns. No block
+    is kept: each becomes keys, its (x, y) bits in one uint64 array and
+    its z bits in a uint32 one. Ranking the distinct (x, y) keys makes
+    (rank << 32) | z a 64-bit vertex key (below 1.4e9 triangles there
+    are under 2**32 ranks); ranking those numbers the vertices in the
+    order of their (x, y, z) bits, and the keys give back the coordinates.
     """
-    flat = (corner_soup + np.float32(0.0)).reshape(-1, 3)
-    if len(flat) == 0:
-        return TriangleMesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=np.int64))
-    bits = flat.view(np.uint32)
-    xy = (bits[:, 0].astype(np.uint64) << 32) | bits[:, 1]
-    z = bits[:, 2]
-    order = np.lexsort((z, xy))
-    xy, z = xy[order], z[order]
-    new = np.concatenate([[True], (xy[1:] != xy[:-1]) | (z[1:] != z[:-1])])
-    inverse = np.empty(len(flat), dtype=np.int64)
-    inverse[order] = np.cumsum(new) - 1
-    return TriangleMesh(flat[order[new]], inverse.reshape(-1, 3))
+    xy = np.empty(3 * count, dtype=np.uint64)
+    z = np.empty(3 * count, dtype=np.uint32)
+    lo = 0
+    for corners in blocks:
+        bits = (corners + np.float32(0.0)).reshape(-1, 3).view(np.uint32)
+        hi = lo + len(bits)
+        xy[lo:hi] = bits[:, 0]
+        xy[lo:hi] <<= 32
+        xy[lo:hi] |= bits[:, 1]
+        z[lo:hi] = bits[:, 2]
+        lo = hi
+    xy_values, rank = _ranks(xy)
+    del xy
+    key = rank.view(np.uint64)  # unsigned: a rank from 2**31 on shifts into the top bit
+    key <<= 32
+    key |= z
+    del z
+    vertex_keys, inverse = _ranks(key)
+    del rank, key
+    xy_bits = xy_values[vertex_keys >> 32]
+    # Narrowing to uint32 keeps the low 32 bits.
+    bits = np.stack([xy_bits >> 32, xy_bits, vertex_keys], axis=1).astype(np.uint32)
+    return TriangleMesh(bits.view(np.float32), inverse.reshape(-1, 3))
 
 
-def _parse_binary(data: bytes) -> TriangleMesh:
-    if len(data) < 84:
+def _ranks(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct values of keys, and each key's index among them.
+
+    Binary search finds the index, so no sort permutation is held.
+    """
+    ordered = np.sort(keys)
+    new = np.ones(len(ordered), dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    values = ordered[new]
+    del ordered, new
+    return values, np.searchsorted(values, keys)
+
+
+def _parse_binary(fh: BinaryIO) -> TriangleMesh:
+    """Parse a binary STL from a seekable file, _CHUNK records at a time.
+
+    The file's length is checked against its declared triangle count
+    before anything is allocated by that count.
+    """
+    size = fh.seek(0, io.SEEK_END)
+    fh.seek(0)
+    header = fh.read(84)
+    if size < 84:
         raise StlTruncationError(
-            f"need at least 84 bytes for a binary STL, got {len(data)}", offset=len(data)
+            f"need at least 84 bytes for a binary STL, got {size}", offset=size
         )
-    (count,) = struct.unpack_from("<I", data, 80)
+    (count,) = struct.unpack_from("<I", header, 80)
     expected = 84 + 50 * count
-    if len(data) != expected:
+    if size != expected:
         raise StlTruncationError(
             f"binary STL declares {count} triangles ({expected} bytes) but file has"
-            f" {len(data)} bytes",
-            offset=min(len(data), expected),
+            f" {size} bytes",
+            offset=min(size, expected),
         )
-    corners = np.frombuffer(data, dtype=_RECORD, count=count, offset=84)["vertices"]
-    finite = np.isfinite(corners).reshape(count, 9).all(axis=1)
-    if not finite.all():
-        first = int(np.argmin(finite))
-        raise ByteParseError(
-            f"triangle {first} has a non-finite vertex coordinate", offset=84 + 50 * first + 12
-        )
-    return _mesh_from_soup(corners)
+
+    def blocks() -> Iterator[np.ndarray]:
+        records = np.empty(_CHUNK, dtype=_RECORD)
+        for lo in range(0, count, _CHUNK):
+            block = records[: min(_CHUNK, count - lo)]
+            got = fh.readinto(block)
+            if got != block.nbytes:  # the file shrank after its size was read
+                raise StlTruncationError(
+                    f"binary STL ends at byte {84 + 50 * lo + got} of {expected}",
+                    offset=84 + 50 * lo + got,
+                )
+            corners = block["vertices"]
+            finite = np.isfinite(corners).reshape(len(block), 9).all(axis=1)
+            if not finite.all():
+                first = lo + int(np.argmin(finite))
+                raise ByteParseError(
+                    f"triangle {first} has a non-finite vertex coordinate",
+                    offset=84 + 50 * first + 12,
+                )
+            yield corners
+
+    return _mesh_from_soup(blocks(), count)
 
 
 # ASCII grammar classes: str.splitlines() ends a line at each byte of
@@ -323,27 +372,28 @@ def _parse_ascii(data: bytes) -> TriangleMesh:
         if len(words) < 12 * _PARSE_CHUNK:
             break
     _walk(data, pos)
-    return _mesh_from_soup(np.concatenate(blocks))
+    return _mesh_from_soup(blocks, sum(map(len, blocks)))
 
 
 def read_stl(source: str | PathLike | bytes) -> TriangleMesh:
-    """Parse an STL file, sniffing ASCII ("solid" prefix) vs binary.
+    """Parse an STL file or its bytes, sniffing ASCII ("solid" prefix) vs binary.
 
-    A file that leads with "solid" but fails the ASCII grammar is given
-    one chance as binary (some exporters write such files); if both
-    parses fail, the ASCII error -- the more informative one -- is raised.
+    Binary records are read _CHUNK at a time into the weld's keys, so a
+    binary file's bytes are never held whole; ASCII text is. A path must
+    name a file that can seek (no pipe), because the binary length check
+    comes before any record is read. A file that leads with "solid" but
+    fails the ASCII grammar is given one chance as binary (some
+    exporters write such files); if both parses fail, the ASCII error --
+    the more informative one -- is raised.
     """
-    if isinstance(source, bytes):
-        data = source
-    else:
-        with open(source, "rb") as fh:
-            data = fh.read()
-    if data[:5] == b"solid":
-        try:
-            return _parse_ascii(data)
-        except AsciiStlError as ascii_err:
+    with io.BytesIO(source) if isinstance(source, bytes) else open(source, "rb") as fh:
+        if fh.read(5) == b"solid":
+            fh.seek(0)
             try:
-                return _parse_binary(data)
-            except ByteParseError:
-                raise ascii_err from None
-    return _parse_binary(data)
+                return _parse_ascii(fh.read())
+            except AsciiStlError as ascii_err:
+                try:
+                    return _parse_binary(fh)
+                except ByteParseError:
+                    raise ascii_err from None
+        return _parse_binary(fh)

@@ -348,6 +348,24 @@ class TestExitCodes:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b"P5 " + b"x" * 1_000_000, "malformed header: width is not a number: b'" + "x" * 40 + "...'"),
+            (b"P2 2 1 255\n" + b"x" * 1_000_000 + b" 0\n", "malformed sample: b'" + "x" * 40 + "...'"),
+            (b"P2 2 1 255\n" + b"7" * 1_000_000 + b" 0\n", "sample " + "7" * 40 + "... exceeds maxval 255"),
+        ],
+        ids=["header-token", "sample-token", "sample-digits"],
+    )
+    def test_input_parse_long_pgm_token_is_cut(self, tmp_path, data, message):
+        img = tmp_path / "big.pgm"
+        img.write_bytes(data)
+        proc = run("convert", img, "-o", tmp_path / "x.stl")
+        offset = 3 if data.startswith(b"P5") else 11
+        assert proc.returncode == 3
+        assert proc.stderr == f"relieforge: input-parse: {message} (at byte {offset})\n"
+        assert len(proc.stderr) < 200
+
     def test_output_io_failure(self, tmp_path, logo_pgm):
         proc = run("convert", logo_pgm, "-o", tmp_path / "no-dir" / "x.stl")
         assert proc.returncode == 5
@@ -438,6 +456,26 @@ class TestInspect:
         assert proc.returncode == 3
         assert "input-parse" in proc.stderr and "non-finite" in proc.stderr
 
+
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_unreadable_path(self, tmp_path, kind):
+        path = tmp_path / "nope.stl" if kind == "missing" else tmp_path
+        proc = run("inspect", path)
+        assert proc.returncode == 3
+        assert proc.stderr.startswith(f"relieforge: input-parse: cannot read {path}: [Errno ")
+        assert proc.stderr.count("\n") == 1
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+    def test_pipe_is_refused(self, tmp_path, logo_pgm):
+        # The binary length check seeks before any record is read.
+        out = tmp_path / "x.stl"
+        run("convert", logo_pgm, "-o", out)
+        proc = subprocess.run(
+            [*CLI, "inspect", "/dev/stdin"], input=out.read_bytes(), capture_output=True
+        )
+        assert proc.returncode == 3
+        assert proc.stderr.startswith(b"relieforge: input-parse: cannot read /dev/stdin: ")
+        assert proc.stderr.count(b"\n") == 1
 
     def test_ascii_overflow_is_one_line(self, tmp_path, logo_pgm):
         out = tmp_path / "x.stl"

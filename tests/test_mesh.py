@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -429,3 +430,18 @@ class TestAnalyticVolume:
     def test_below_base_rejected(self):
         with pytest.raises(InvertedSolidError):
             analytic_volume(grid([[1.0, 1.0], [1.0, 1.0]]), base_z=1.5)
+
+
+def test_validate_memory_is_bounded():
+    # 107,628 triangles in four blocks: beside the mesh, validate holds
+    # 3T edge keys, masks as long and one block's temporaries, 2.6 times
+    # the mesh's own bytes here.
+    mesh = close_solid(grid(np.random.default_rng(0).uniform(0.5, 3.0, size=(230, 230))))
+    tracemalloc.start()
+    try:
+        rep = validate(mesh)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.watertight and mesh.triangle_count == 107628
+    assert peak < 3.5 * (mesh.vertices.nbytes + mesh.triangles.nbytes)

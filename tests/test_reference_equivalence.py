@@ -24,7 +24,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from relieforge import image_io
+from relieforge import image_io, stl_io
+from relieforge import mesh as mesh_module
 from relieforge.errors import GeometryError
 from relieforge.heightfield import HeightGrid
 from relieforge.image_io import PgmParseError, decode_pgm
@@ -221,9 +222,15 @@ COORD = st.one_of(
 
 
 @SETTINGS
-@given(st.integers(1, 24).flatmap(lambda t: arrays(np.float32, (t, 3, 3), elements=COORD)))
-def test_stl_weld_matches_unique(soup):
-    mesh = read_stl(binary_stl(soup))
+@given(
+    st.integers(1, 24).flatmap(lambda t: arrays(np.float32, (t, 3, 3), elements=COORD)),
+    st.sampled_from([5, stl_io._CHUNK]),
+)
+def test_stl_weld_matches_unique(soup, chunk):
+    # A chunk of 5 records reads most soups in several blocks.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stl_io, "_CHUNK", chunk)
+        mesh = read_stl(binary_stl(soup))
     ref_vertices, ref_triangles = weld_reference(soup)
     assert len(mesh.vertices) == len(ref_vertices)
     assert np.array_equal(mesh.vertices[mesh.triangles], ref_vertices[ref_triangles])
@@ -388,6 +395,27 @@ def test_validate_random_index_meshes_match_reference(case):
     nv, triangles = case
     mesh = TriangleMesh(np.random.default_rng(nv).uniform(size=(nv, 3)), triangles)
     assert report_counts(mesh) == edge_counts_reference(triangles, nv)
+
+
+@SETTINGS
+@given(index_meshes())
+@example((3, np.zeros((0, 3), dtype=np.int64)))  # empty
+@example((4, np.array([[0, 1, 2], [0, 2, 3]])))  # open
+@example((4, np.array([[0, 1, 2]] + [[1, 3, 2]] * 4 + [[0, 1, 3]])))  # 0->1 in blocks 0 and 1
+@example((2, np.array([[0, 0, 1], [1, 0, 1]])))  # self-loop
+def test_validate_blocks_change_no_result(case):
+    nv, triangles = case
+    mesh = TriangleMesh(np.random.default_rng(nv).uniform(size=(nv, 3)), triangles)
+    expected = edge_counts_reference(triangles, nv)
+    expected["watertight"] &= len(triangles) > 0  # validate also asks for a triangle
+    one = validate(mesh)  # at most 30 triangles: one block
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mesh_module, "_CHUNK", 5)
+        assert report_counts(mesh) == expected
+        blocks = validate(mesh)
+    assert blocks.degenerate_count == one.degenerate_count
+    assert blocks.signed_volume == pytest.approx(one.signed_volume, rel=1e-12, abs=1e-12)
+    assert blocks.surface_area == pytest.approx(one.surface_area, rel=1e-12, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -252,6 +252,10 @@ class TestReadStl:
             read_stl(bytes(data))
         assert e.value.offset == 84 + 50 * 5 + 12
 
+    def test_binary_nonfinite_coordinate_in_a_later_block(self, monkeypatch):
+        monkeypatch.setattr(stl_io, "_CHUNK", 4)  # triangle 5 is in the second block
+        self.test_binary_nonfinite_coordinate_rejected()
+
     @pytest.mark.parametrize("bad", ["nan", "inf", "-1e39"])
     def test_ascii_nonfinite_coordinate_names_line(self, bad):
         text = (
@@ -268,6 +272,20 @@ class TestReadStl:
         with pytest.raises(AsciiStlError, match="line 5") as e:
             read_stl(text.encode())
         assert e.value.line == 5
+
+    def test_file_that_shrinks_while_read(self):
+        # The length check passed, then the records ran out.
+        buf = io.BytesIO()
+        write_binary_stl(box_mesh(), buf)
+        data = buf.getvalue()
+
+        class Shrunk(io.BytesIO):
+            def seek(self, pos, whence=io.SEEK_SET):
+                return len(data) if whence == io.SEEK_END else super().seek(pos, whence)
+
+        with pytest.raises(StlTruncationError, match="ends at byte 674 of 684") as e:
+            stl_io._parse_binary(Shrunk(data[:-10]))
+        assert e.value.offset == 674
 
     def test_read_from_path(self, tmp_path):
         path = tmp_path / "t.stl"
@@ -311,3 +329,19 @@ class TestReadStl:
             tracemalloc.stop()
         assert mesh.triangle_count == 46188 > 4 * stl_io._PARSE_CHUNK
         assert peak < 2 * len(data)
+
+    def test_binary_read_memory_is_bounded(self, tmp_path):
+        # 107,628 triangles in four blocks. Read from a path, the file's
+        # bytes are never held: the weld keeps 12 bytes of keys per corner
+        # and one sort's copy of them, 2.4 times the mesh's own bytes here.
+        g = HeightGrid.from_spacing(np.random.default_rng(0).uniform(0.5, 3.0, size=(230, 230)))
+        path = tmp_path / "solid.stl"
+        write_binary_stl(close_solid(g), path)
+        tracemalloc.start()
+        try:
+            mesh = read_stl(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert mesh.triangle_count == 107628 > 3 * stl_io._CHUNK
+        assert peak < 3 * (mesh.vertices.nbytes + mesh.triangles.nbytes)
