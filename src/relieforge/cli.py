@@ -108,6 +108,7 @@ class RunReport:
     degenerate: int
     boundary_edges: int
     nonmanifold_edges: int
+    repeated_edges: int
     warnings: list[str] = field(default_factory=list)
     input_px: list[int] | None = None
     transfer: str | None = None
@@ -130,6 +131,7 @@ class RunReport:
             degenerate=mr.degenerate_count,
             boundary_edges=mr.boundary_edge_count,
             nonmanifold_edges=mr.nonmanifold_edge_count,
+            repeated_edges=mr.repeated_edge_count,
             **extra,
         )
 

@@ -96,10 +96,12 @@ class MeshReport:
     degenerate_count: int
     boundary_edge_count: int
     nonmanifold_edge_count: int
+    repeated_edge_count: int
 
 
-def _triangle_cross(v0: np.ndarray, v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
-    return np.cross(v1 - v0, v2 - v0)
+def _cross(a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """a x b for vectors given as their three coordinate arrays, as np.cross computes it."""
+    return a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]
 
 
 def face_normals(corners: np.ndarray) -> np.ndarray:
@@ -107,7 +109,8 @@ def face_normals(corners: np.ndarray) -> np.ndarray:
 
     Zero-area triangles get a zero normal instead of NaN.
     """
-    cross = _triangle_cross(corners[:, 0], corners[:, 1], corners[:, 2])
+    v0 = corners[:, 0]
+    cross = np.stack(_cross((corners[:, 1] - v0).T, (corners[:, 2] - v0).T), axis=1)
     norms = np.linalg.norm(cross, axis=1, keepdims=True)
     return cross / np.where(norms == 0.0, 1.0, norms)
 
@@ -314,6 +317,28 @@ def close_solid(g: HeightGrid, base_z: float = 0.0) -> TriangleMesh:
     return TriangleMesh(vertices, triangles, degenerate_skipped=skipped)
 
 
+def _block_geometry(columns, block, origin, moment) -> tuple[np.ndarray, float]:
+    """The areas of a block of triangles, and six times their signed volume.
+
+    Each corner's x, y and z are gathered from ``columns``, the column
+    views of the vertices; the edge vectors, cross products and lengths
+    are formed from those 1-D arrays with the operations np.cross and
+    np.linalg.norm use, so they are bit-equal to the (n, 3) forms. The
+    volume term is summed by einsum over v0 and v1 x v2 written row by
+    row into the (n, 3) buffers ``origin`` and ``moment``, in the order
+    an (n, 3) sum takes.
+    """
+    n = len(block)
+    v0, v1, v2 = ([axis[block[:, k]] for axis in columns] for k in range(3))
+    cross = _cross([b - a for a, b in zip(v0, v1)], [c - a for a, c in zip(v0, v2)])
+    areas = 0.5 * np.sqrt(cross[0] * cross[0] + cross[1] * cross[1] + cross[2] * cross[2])
+    for k in range(3):
+        origin[:n, k] = v0[k]
+    for k, column in enumerate(_cross(v1, v2)):
+        moment[:n, k] = column
+    return areas, float(np.einsum("ij,ij->", origin[:n], moment[:n]))
+
+
 def validate(m: TriangleMesh) -> MeshReport:
     """Measure a mesh and decide whether it bounds a printable solid.
 
@@ -326,11 +351,14 @@ def validate(m: TriangleMesh) -> MeshReport:
     (1e-12 mm^2) count as degenerate, as do the ones
     ``degenerate_skipped`` says were left out.
 
-    Triangles are measured _CHUNK at a time, so one block's corners and
-    cross products are held at once; area and volume add up per-block
-    sums, so past one block their last digits may differ from one sum's.
-    Each block writes its directed-edge keys into one array of 3T, sorted
-    once: beside the mesh, validate holds that array and masks as long.
+    Triangles are measured _CHUNK at a time, coordinate by coordinate
+    (see _block_geometry), with the two (n, 3) volume buffers allocated
+    once. Area and volume add up per-block sums, so past one block their
+    last digits may differ from one sum's. Each block writes its
+    directed-edge keys into one array of 3T, sorted once: beside the
+    mesh, validate holds that array and masks as long.
+    ``repeated_edge_count`` counts the directed edges that repeat an
+    earlier one.
     """
     t = m.triangles
     tri_count = len(t)
@@ -338,24 +366,27 @@ def validate(m: TriangleMesh) -> MeshReport:
     floor = DEFAULT_MIN_FEATURE * DEFAULT_MIN_FEATURE * 1e-6
     area = volume6 = 0.0
     degenerate = 0
+    columns = m.vertices.T
+    # v0 and v1 x v2, row by row, for the volume term.
+    origin = np.empty((min(_CHUNK, tri_count), 3))
+    moment = np.empty_like(origin)
     # Directed edges keyed (undirected edge, direction): runs of equal
     # undirected codes give each edge's use count, and equal neighbouring
     # keys are a repeated directed edge.
     keys = np.empty(3 * tri_count, dtype=np.int64)
     for lo in range(0, tri_count, _CHUNK):
         block = t[lo : lo + _CHUNK]
-        v0, v1, v2 = (m.vertices[block[:, k]] for k in range(3))
-        areas = 0.5 * np.linalg.norm(_triangle_cross(v0, v1, v2), axis=1)
+        areas, block_volume6 = _block_geometry(columns, block, origin, moment)
         degenerate += int(np.count_nonzero(areas < floor))
         area += float(areas.sum())
-        volume6 += float(np.einsum("ij,ij->", v0, np.cross(v1, v2)))
+        volume6 += block_volume6
         a = block.ravel()
         b = block[:, [1, 2, 0]].ravel()
         edges = (np.minimum(a, b) * nv + np.maximum(a, b)) << 1
         keys[3 * lo : 3 * lo + len(a)] = edges | (a > b)
 
     keys.sort()
-    directed_dup = bool((keys[1:] == keys[:-1]).any())
+    repeated = int(np.count_nonzero(keys[1:] == keys[:-1]))
     keys >>= 1
     # starts[i]: an undirected edge's run begins at key i; the last entry
     # closes the final run. A run of one is a start followed by a start,
@@ -366,7 +397,7 @@ def validate(m: TriangleMesh) -> MeshReport:
     boundary = int(np.count_nonzero(starts[:-1] & starts[1:]))
     nonmanifold = int(np.count_nonzero(starts[:-2] & ~starts[1:-1] & ~starts[2:]))
 
-    watertight = tri_count > 0 and boundary == 0 and nonmanifold == 0 and not directed_dup
+    watertight = tri_count > 0 and boundary == 0 and nonmanifold == 0 and repeated == 0
     box = m.vertices if nv else np.zeros((1, 3))
     return MeshReport(
         vertex_count=nv,
@@ -381,6 +412,7 @@ def validate(m: TriangleMesh) -> MeshReport:
         degenerate_count=degenerate + int(m.degenerate_skipped),
         boundary_edge_count=boundary,
         nonmanifold_edge_count=nonmanifold,
+        repeated_edge_count=repeated,
     )
 
 

@@ -54,12 +54,14 @@ class TestConvert:
             "degenerate",
             "boundary_edges",
             "nonmanifold_edges",
+            "repeated_edges",
             "warnings",
         ):
             assert key in rep
         keys = list(rep)
         assert keys[keys.index("boundary_edges") + 1] == "nonmanifold_edges"
-        assert rep["boundary_edges"] == rep["nonmanifold_edges"] == 0
+        assert keys[keys.index("nonmanifold_edges") + 1] == "repeated_edges"
+        assert rep["boundary_edges"] == rep["nonmanifold_edges"] == rep["repeated_edges"] == 0
 
     def test_human_summary_on_stderr(self, tmp_path, logo_pgm):
         proc = run("convert", logo_pgm, "-o", tmp_path / "x.stl")
@@ -167,6 +169,8 @@ class TestConvert:
         rep = json.loads(capsys.readouterr().out)
         assert rep["watertight"] is False
         assert rep["boundary_edges"] == 0 and rep["nonmanifold_edges"] == 3
+        # The reversed copy runs each of its edges the way its neighbour does.
+        assert rep["repeated_edges"] == 3
 
     def test_failed_write_keeps_existing_output(self, tmp_path, logo_pgm, monkeypatch, capsys):
         def write_half(mesh, fh):

@@ -1,19 +1,20 @@
 """The whole-array code paths against the loops and sorts they replaced.
 
 read_stl and validate find vertex and edge identity by sorting integers,
-and close_solid by grid index, with a top zipped row by row over the
-samples that flat blocks do not hide and a base zipped from the rim,
-instead of the oracle's cell split and mirrored copy of the grid; the
-ASCII STL writer formats each distinct float32 once, and the ASCII
-parser matches one pattern per facet and walks line by line only where
-that pattern stops; the PGM decoder reads P2 samples in whole-array
-passes; the PNG decoder undoes scanline filters one anti-diagonal at a
-time and composites alpha in place. The functions here are the earlier
-implementations -- np.unique over float rows and edge codes, a Python
-loop per facet, per line and per sample -- kept as oracles; hypothesis
-checks that both give the same meshes, counts, bytes, samples and
-errors.
-"""
+read_stl one block of corners before the whole file, and validate
+measures triangles coordinate by coordinate; close_solid finds identity
+by grid index, with a top zipped row by row over the samples that flat
+blocks do not hide and a base zipped from the rim, instead of the
+oracle's cell split and mirrored copy of the grid; the ASCII STL writer
+formats each distinct float32 once, and the ASCII parser matches one
+pattern per facet and walks line by line only where that pattern stops;
+the PGM decoder reads P2 samples in whole-array passes; the PNG decoder
+undoes scanline filters one anti-diagonal at a time and composites
+alpha in place. The functions here are the earlier implementations --
+np.unique over bit rows and edge codes, np.cross and np.linalg.norm over
+(n, 3) rows, a Python loop per facet, per line and per sample -- kept as
+oracles; hypothesis checks that both give the same meshes, counts,
+bytes, samples and errors."""
 
 import io
 import struct
@@ -48,11 +49,14 @@ SETTINGS = settings(max_examples=150, deadline=None)
 
 
 def weld_reference(soup: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Coordinate weld of a (T, 3, 3) soup by np.unique over float rows."""
-    vertices, inverse = np.unique(
-        soup.reshape(-1, 3).astype(np.float64), axis=0, return_inverse=True
-    )
-    return vertices, inverse.reshape(-1, 3)
+    """Bit weld of a (T, 3, 3) float32 soup by np.unique over uint32 rows.
+
+    Adding +0.0 folds -0.0 into 0.0; the distinct rows come in the order
+    of their (x, y, z) bits, which is the vertex numbering read_stl keeps.
+    """
+    rows = (soup + np.float32(0.0)).reshape(-1, 3).view(np.uint32)
+    bits, inverse = np.unique(rows, axis=0, return_inverse=True)
+    return bits, inverse.reshape(-1, 3)
 
 
 def close_solid_reference(g: HeightGrid, base_z: float = 0.0) -> TriangleMesh:
@@ -196,6 +200,7 @@ def edge_counts_reference(t: np.ndarray, nv: int) -> dict:
         "edge_count": len(und_unique),
         "boundary_edge_count": boundary,
         "nonmanifold_edge_count": nonmanifold,
+        "repeated_edge_count": int(np.sum(dir_counts - 1)),
         "watertight": boundary == 0
         and nonmanifold == 0
         and not (dir_counts > 1).any()
@@ -223,18 +228,26 @@ COORD = st.one_of(
 
 @SETTINGS
 @given(
-    st.integers(1, 24).flatmap(lambda t: arrays(np.float32, (t, 3, 3), elements=COORD)),
+    st.integers(0, 24).flatmap(
+        lambda t: st.tuples(
+            arrays(np.float32, (t, 3, 3), elements=COORD), st.permutations(range(t))
+        )
+    ),
     st.sampled_from([5, stl_io._CHUNK]),
 )
-def test_stl_weld_matches_unique(soup, chunk):
-    # A chunk of 5 records reads most soups in several blocks.
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(stl_io, "_CHUNK", chunk)
-        mesh = read_stl(binary_stl(soup))
-    ref_vertices, ref_triangles = weld_reference(soup)
-    assert len(mesh.vertices) == len(ref_vertices)
-    assert np.array_equal(mesh.vertices[mesh.triangles], ref_vertices[ref_triangles])
-    assert np.array_equal(mesh.vertices[mesh.triangles], soup)
+def test_stl_weld_matches_unique(case, chunk):
+    # A chunk of 5 records reads most soups in several blocks, and the
+    # shuffled soup welds different corners together in each block; the
+    # numbering is pinned to the (x, y, z) bit order either way.
+    soup, order = case
+    for triangles in (soup, soup[np.array(order, dtype=np.intp)]):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(stl_io, "_CHUNK", chunk)
+            mesh = read_stl(binary_stl(triangles))
+        ref_bits, ref_triangles = weld_reference(triangles)
+        assert np.array_equal(mesh.vertices.astype(np.float32).view(np.uint32), ref_bits)
+        assert np.array_equal(mesh.triangles, ref_triangles)
+        assert np.array_equal(mesh.vertices[mesh.triangles], triangles)
 
 
 def test_stl_weld_merges_signed_zeros():
@@ -344,6 +357,7 @@ def report_counts(mesh: TriangleMesh) -> dict:
         "edge_count": rep.edge_count,
         "boundary_edge_count": rep.boundary_edge_count,
         "nonmanifold_edge_count": rep.nonmanifold_edge_count,
+        "repeated_edge_count": rep.repeated_edge_count,
         "watertight": rep.watertight,
     }
 
@@ -416,6 +430,49 @@ def test_validate_blocks_change_no_result(case):
     assert blocks.degenerate_count == one.degenerate_count
     assert blocks.signed_volume == pytest.approx(one.signed_volume, rel=1e-12, abs=1e-12)
     assert blocks.surface_area == pytest.approx(one.surface_area, rel=1e-12, abs=1e-12)
+
+
+def geometry_reference(mesh: TriangleMesh) -> tuple[float, float, int]:
+    """Area, volume and degenerate count from (n, 3) corner rows in one sum."""
+    v0, v1, v2 = (mesh.vertices[mesh.triangles[:, k]] for k in range(3))
+    areas = 0.5 * np.linalg.norm(np.cross(v1 - v0, v2 - v0), axis=1)
+    volume = float(np.einsum("ij,ij->", v0, np.cross(v1, v2))) / 6.0
+    floor = DEFAULT_MIN_FEATURE * DEFAULT_MIN_FEATURE * 1e-6
+    degenerate = int(np.count_nonzero(areas < floor)) + mesh.degenerate_skipped
+    return float(areas.sum()), volume, degenerate
+
+
+def normals_reference(corners: np.ndarray) -> np.ndarray:
+    """face_normals by np.cross and np.linalg.norm over (n, 3) rows."""
+    cross = np.cross(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0])
+    norms = np.linalg.norm(cross, axis=1, keepdims=True)
+    return cross / np.where(norms == 0.0, 1.0, norms)
+
+
+def assert_geometry_exact(mesh: TriangleMesh) -> None:
+    rep = validate(mesh)
+    assert mesh.triangle_count <= mesh_module._CHUNK  # one block: one sum
+    assert (rep.surface_area, rep.signed_volume, rep.degenerate_count) == geometry_reference(mesh)
+    corners = mesh.vertices[mesh.triangles]
+    assert np.array_equal(face_normals(corners), normals_reference(corners))
+
+
+@SETTINGS
+@given(index_meshes(), st.sampled_from([1.0, 1e-7, 1e6]), st.integers(0, 2**32 - 1))
+def test_validate_geometry_is_exact(case, spread, seed):
+    # Exact, not approximate: the column-wise cross product and length do
+    # the same IEEE operations as np.cross and np.linalg.norm.
+    nv, triangles = case
+    vertices = np.random.default_rng(seed).normal(scale=spread, size=(nv, 3))
+    assert_geometry_exact(TriangleMesh(vertices, triangles))
+
+
+@SETTINGS
+@given(grids())
+def test_validate_geometry_is_exact_on_solids(case):
+    g, base_z = case
+    if (g.heights > base_z).any():
+        assert_geometry_exact(close_solid(g, base_z=base_z))
 
 
 # ---------------------------------------------------------------------------
