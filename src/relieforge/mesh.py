@@ -110,7 +110,7 @@ def face_normals(corners: np.ndarray) -> np.ndarray:
     Zero-area triangles get a zero normal instead of NaN.
     """
     v0 = corners[:, 0]
-    cross = np.stack(_cross((corners[:, 1] - v0).T, (corners[:, 2] - v0).T), axis=1)
+    cross = np.cross(corners[:, 1] - v0, corners[:, 2] - v0)
     norms = np.linalg.norm(cross, axis=1, keepdims=True)
     return cross / np.where(norms == 0.0, 1.0, norms)
 

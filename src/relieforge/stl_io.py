@@ -6,8 +6,7 @@ record per triangle (normal + three vertices as float32 triples, plus a
 zeroed uint16 attribute).  A well-formed file is therefore exactly
 84 + 50*T bytes, which doubles as the truncation check when reading;
 the reader checks it first and then reads the records a block at a
-time, welding each block's corners as it goes, and welds the blocks'
-distinct corners once at the end.
+time into the weld's integer keys.
 
 Both writers recompute normals from the winding in float64 and narrow
 every number to float32 exactly once at serialization, in blocks of
@@ -141,73 +140,70 @@ def _mesh_from_soup(blocks: Iterable[np.ndarray], count: int) -> TriangleMesh:
 
     Corners weld by exact equality -- parsing must not invent tolerances
     the file does not contain. Adding +0.0 turns -0.0 into 0.0; after
-    that, equal finite float32 values have equal bit patterns. Each
-    block is welded on its own as it arrives (see _weld) and only its
-    distinct corners are kept, with each corner's number among them plus
-    the count kept before, in one int64 array of 3T. A second _weld over
-    every block's distinct corners numbers the vertices in the order of
-    their (x, y, z) bits, and each block's numbers are remapped in place.
-    Corners that lie close in the file share vertices, so the whole-mesh
-    weld sees few more keys than there are vertices; a file whose
-    triangles come in random order gains nothing from the first pass
-    and reads slower than one whole weld would.
+    that, equal finite float32 values have equal bit patterns. No block
+    is kept: each becomes keys, its (x, y) bits in one uint64 array and
+    its z bits in a uint32 one. Ranking the distinct (x, y) keys makes
+    (rank << 32) | z a 64-bit vertex key (below 1.4e9 triangles there
+    are under 2**32 ranks); ranking those numbers the vertices in the
+    order of their (x, y, z) bits, and the keys give back the coordinates.
+    Each rank is written over the keys it ranks (see _ranks).
     """
-    ids = np.empty(3 * count, dtype=np.int64)
-    # The empty arrays let a file without triangles concatenate.
-    xys, zs = [np.empty(0, dtype=np.uint64)], [np.empty(0, dtype=np.uint32)]
-    lo = kept = 0
+    xy = np.empty(3 * count, dtype=np.uint64)
+    z = np.empty(3 * count, dtype=np.uint32)
+    lo = 0
     for corners in blocks:
         bits = (corners + np.float32(0.0)).reshape(-1, 3).view(np.uint32)
-        xy = bits[:, 0].astype(np.uint64)
-        xy <<= 32
-        xy |= bits[:, 1]
-        xy, z, inverse = _weld(xy, bits[:, 2])
-        hi = lo + len(inverse)
-        np.add(inverse, kept, out=ids[lo:hi])
-        xys.append(xy)
-        zs.append(z)
-        lo, kept = hi, kept + len(xy)
-    xy, z = np.concatenate(xys), np.concatenate(zs)
-    del xys, zs
-    xy, z, inverse = _weld(xy, z)
-    step = 3 * _CHUNK
-    for lo in range(0, len(ids), step):
-        ids[lo : lo + step] = inverse[ids[lo : lo + step]]
-    vertices = np.empty((len(xy), 3))
-    # Narrowing to uint32 keeps the low 32 bits.
-    for k, column in enumerate([xy >> 32, xy, z]):
-        vertices[:, k] = column.astype(np.uint32).view(np.float32)
-    return TriangleMesh(vertices, ids.reshape(-1, 3))
-
-
-def _weld(xy: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The distinct corners of (x, y) uint64 and z uint32 bit keys, and each one's index.
-
-    Ranking the distinct (x, y) keys makes (rank << 32) | z a 64-bit
-    vertex key (below 1.4e9 triangles there are under 2**32 ranks);
-    ranking those orders the distinct corners by their (x, y, z) bits,
-    and their keys give back each one's (x, y) and z bits.
-    """
+        hi = lo + len(bits)
+        xy[lo:hi] = bits[:, 0]
+        xy[lo:hi] <<= 32
+        xy[lo:hi] |= bits[:, 1]
+        z[lo:hi] = bits[:, 2]
+        lo = hi
     xy_values, rank = _ranks(xy)
     key = rank.view(np.uint64)  # unsigned: a rank from 2**31 on shifts into the top bit
+    del xy, rank
     key <<= 32
     key |= z
+    del z
     vertex_keys, inverse = _ranks(key)
-    del rank, key
-    return xy_values[vertex_keys >> 32], vertex_keys.astype(np.uint32), inverse
+    del key
+    xy_bits = xy_values[vertex_keys >> 32]
+    vertices = np.empty((len(vertex_keys), 3))
+    # Narrowing to uint32 keeps the low 32 bits.
+    for k, column in enumerate([xy_bits >> 32, xy_bits, vertex_keys]):
+        vertices[:, k] = column.astype(np.uint32).view(np.float32)
+    return TriangleMesh(vertices, inverse.reshape(-1, 3))
 
 
 def _ranks(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The sorted distinct values of keys, and each key's index among them.
+    """The sorted distinct values of uint64 keys, and each key's index among them.
 
-    Binary search finds the index, so no sort permutation is held.
+    The indices are written over ``keys``, which comes back viewed as
+    int64. One argsort orders the keys; then, _CHUNK places of the order
+    at a time, the keys are gathered, the starts of runs of equal keys
+    give the block's distinct values and running ranks, and the ranks
+    are scattered back through the order. Beside the keys, only the
+    order and the distinct values are held whole. No step is a binary
+    search, whose cost climbs when keys come in random order, as the
+    corners of a shuffled file do.
     """
-    ordered = np.sort(keys)
-    new = np.ones(len(ordered), dtype=bool)
-    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
-    values = ordered[new]
-    del ordered, new
-    return values, np.searchsorted(values, keys)
+    order = np.argsort(keys)
+    ranks = keys.view(np.int64)
+    values, done, last = [keys[:0]], 0, None  # keys[:0]: no keys concatenate to no values
+    for lo in range(0, len(keys), _CHUNK):
+        at = order[lo : lo + _CHUNK]
+        run = keys[at]  # earlier blocks wrote only to their own places
+        starts = np.empty(len(run), dtype=bool)
+        starts[0] = last is None or run[0] != last
+        np.not_equal(run[1:], run[:-1], out=starts[1:])
+        last = run[-1]
+        values.append(run[starts])
+        rank = np.cumsum(starts, dtype=np.int64)
+        rank += done - 1
+        done += len(values[-1])
+        ranks[at] = rank
+    del order
+    return np.concatenate(values), ranks
 
 
 def _parse_binary(fh: BinaryIO) -> TriangleMesh:

@@ -236,9 +236,10 @@ COORD = st.one_of(
     st.sampled_from([5, stl_io._CHUNK]),
 )
 def test_stl_weld_matches_unique(case, chunk):
-    # A chunk of 5 records reads most soups in several blocks, and the
-    # shuffled soup welds different corners together in each block; the
-    # numbering is pinned to the (x, y, z) bit order either way.
+    # A chunk of 5 reads most soups in several blocks and ranks the keys
+    # 5 places of their sort order at a time, so runs of equal keys cross
+    # blocks; the numbering is pinned to the (x, y, z) bit order whatever
+    # the order of the triangles.
     soup, order = case
     for triangles in (soup, soup[np.array(order, dtype=np.intp)]):
         with pytest.MonkeyPatch.context() as mp:

@@ -330,13 +330,19 @@ class TestReadStl:
         assert mesh.triangle_count == 46188 > 4 * stl_io._PARSE_CHUNK
         assert peak < 2 * len(data)
 
-    def test_binary_read_memory_is_bounded(self, tmp_path):
-        # 107,628 triangles in four blocks. Read from a path, the file's
-        # bytes are never held: the weld keeps 12 bytes of keys per corner
-        # and one sort's copy of them, 2.4 times the mesh's own bytes here.
+    @staticmethod
+    def read_solid_peak(tmp_path, shuffled: bool) -> tuple[TriangleMesh, int]:
         g = HeightGrid.from_spacing(np.random.default_rng(0).uniform(0.5, 3.0, size=(230, 230)))
+        buf = io.BytesIO()
+        write_binary_stl(close_solid(g), buf)
+        data = buf.getvalue()
+        if shuffled:
+            records = np.frombuffer(data, dtype=np.uint8, offset=84).reshape(-1, 50)
+            order = np.random.default_rng(1).permutation(len(records))
+            data = data[:84] + records[order].tobytes()
         path = tmp_path / "solid.stl"
-        write_binary_stl(close_solid(g), path)
+        path.write_bytes(data)
+        del buf, data
         tracemalloc.start()
         try:
             mesh = read_stl(path)
@@ -344,4 +350,18 @@ class TestReadStl:
         finally:
             tracemalloc.stop()
         assert mesh.triangle_count == 107628 > 3 * stl_io._CHUNK
+        return mesh, peak
+
+    def test_binary_read_memory_is_bounded(self, tmp_path):
+        # 107,628 triangles in four blocks. Read from a path, the file's
+        # bytes are never held: the weld keeps 12 bytes of keys and the
+        # 8-byte sort order per corner, the distinct keys and one block's
+        # gathers, 2.6 times the mesh's own bytes here.
+        mesh, peak = self.read_solid_peak(tmp_path, shuffled=False)
+        assert peak < 3 * (mesh.vertices.nbytes + mesh.triangles.nbytes)
+
+    def test_shuffled_binary_read_memory_is_bounded(self, tmp_path):
+        # The same solid with its records in random order: the weld holds
+        # the same arrays whatever the order of the triangles.
+        mesh, peak = self.read_solid_peak(tmp_path, shuffled=True)
         assert peak < 3 * (mesh.vertices.nbytes + mesh.triangles.nbytes)
