@@ -35,8 +35,6 @@ import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from . import image_io, transfer
 from .errors import GeometryError, InputParseError, OutputError
 from .heightfield import (
@@ -239,6 +237,7 @@ def _shape_heights(cfg: PipelineConfig) -> tuple[HeightGrid, list[str], list[int
     input_px = [gray.width, gray.height]
     tf = _load_transfer(cfg)
     grid = grid_from_image(gray, mirror_x=cfg.mirror_x)
+    del gray  # the grid is a copy; free the intensities before the transfer
     heights: ScalarGrid = transfer.apply(tf, grid, scale=cfg.scale)
     if cfg.pad:
         heights = pad_border(heights, value=cfg.pad_value)
@@ -312,11 +311,15 @@ def preview(cfg: PipelineConfig, out_path: str) -> None:
     how the input image is viewed.
     """
     grid_mm, _, _, _ = _shape_heights(cfg)
+    # Nothing else holds the heights, so they are normalized in place.
     h = grid_mm.heights
-    span = h.max() - h.min()
-    normalized = np.zeros_like(h) if span == 0 else (h - h.min()) / span
+    low = h.min()
+    span = h.max() - low
+    h -= low
+    if span:
+        h /= span
     # Grid row 0 sits at the south (bottom) edge; PGM rows scan top-down.
-    img = image_io.GrayImage(values=normalized[::-1, :])
+    img = image_io.GrayImage(values=h[::-1, :])
     data = image_io.encode_pgm(img)
     _write_atomically(out_path, lambda fh: fh.write(data))
 

@@ -2,8 +2,10 @@
 
 Inputs are lossless by design: PGM (P2/P5) is the mandatory format, an
 8-bit PNG subset (gray / RGB, alpha composited over white) the optional
-convenience. Samples are normalized reals in [0, 1]; all operations are
-pure and safe to call concurrently.
+convenience. A decoded raster keeps the decoder's integer codes; they
+become normalized reals in [0, 1] only as gray intensities, or as the
+composited ``samples`` a caller asks for. All operations are pure and
+safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -52,34 +54,60 @@ class PngUnsupportedError(PngParseError):
 
 @dataclass
 class RasterImage:
-    """Decoded raster: ``samples`` has shape (height, width, channels).
+    """Decoded raster: integer codes and the code that stands for full scale.
 
-    Channels is 1 (gray) or 3 (RGB); every sample lies in [0, 1].
+    ``pixels`` is uint8 or uint16 of shape (height, width, c), every code
+    in [0, maxval]. c is 1 (gray), 2 (gray + alpha), 3 (RGB) or 4 (RGBA);
+    alpha is the last channel. Only 8-bit PNGs carry color or alpha, so
+    c > 1 needs maxval 255.
     """
 
-    samples: np.ndarray
+    pixels: np.ndarray
+    maxval: int
 
     def __post_init__(self):
-        s = np.asarray(self.samples, dtype=np.float64)
-        if s.ndim != 3 or s.shape[2] not in (1, 3):
-            raise ValueError(f"samples must be (h, w, 1|3), got {s.shape}")
-        if s.shape[0] < 1 or s.shape[1] < 1:
+        p = np.asarray(self.pixels)
+        if p.dtype not in (np.uint8, np.uint16):
+            raise ValueError(f"pixels must be uint8 or uint16, got {p.dtype}")
+        if p.ndim != 3 or p.shape[2] not in (1, 2, 3, 4):
+            raise ValueError(f"pixels must be (h, w, 1|2|3|4), got {p.shape}")
+        if p.shape[0] < 1 or p.shape[1] < 1:
             raise ValueError("image dimensions must be >= 1")
-        if s.size and (s.min() < 0.0 or s.max() > 1.0):
-            raise ValueError("samples must lie in [0, 1]")
-        self.samples = s
+        if not 1 <= self.maxval <= (65535 if p.shape[2] == 1 else 255):
+            raise ValueError(f"maxval {self.maxval} out of range for {p.shape[2]} channels")
+        if p.max() > self.maxval:
+            raise ValueError(f"codes must lie in [0, {self.maxval}]")
+        self.pixels = p
 
     @property
     def height(self) -> int:
-        return self.samples.shape[0]
+        return self.pixels.shape[0]
 
     @property
     def width(self) -> int:
-        return self.samples.shape[1]
+        return self.pixels.shape[1]
 
     @property
     def channels(self) -> int:
-        return self.samples.shape[2]
+        """Color channels of ``samples``: 1 (gray) or 3 (RGB); alpha is not one."""
+        return 3 if self.pixels.shape[2] >= 3 else 1
+
+    @property
+    def samples(self) -> np.ndarray:
+        """Float64 (height, width, channels) in [0, 1], alpha composited over white.
+
+        Computed on each access: codes / maxval, then c * a + (1 - a) for
+        color c and alpha a. to_grayscale does not use it.
+        """
+        color = self.pixels[:, :, : self.channels].astype(np.float64)
+        color /= self.maxval
+        if self.pixels.shape[2] in (2, 4):
+            a = self.pixels[:, :, -1:].astype(np.float64)
+            a /= self.maxval
+            color *= a
+            np.subtract(1.0, a, out=a)
+            color += a
+        return color
 
 
 @dataclass
@@ -148,9 +176,10 @@ def _read_int(data: bytes, pos: int, what: str) -> tuple[int, int, int]:
 def decode_pgm(data: bytes) -> RasterImage:
     """Decode a P2 (ASCII) or P5 (binary) PGM into a 1-channel RasterImage.
 
-    Samples are ``raw / maxval`` exactly. Raises PgmParseError, with the
-    offending byte offset, on malformed headers, zero dimensions, maxval
-    outside [1, 65535], truncated pixel data, or samples above maxval.
+    Codes are kept as uint8 when maxval < 256, else as uint16. Raises
+    PgmParseError, with the offending byte offset, on malformed headers,
+    zero dimensions, maxval outside [1, 65535], truncated pixel data, or
+    samples above maxval.
     """
     data = bytes(data)
     magic = data[:2]
@@ -182,7 +211,7 @@ def decode_pgm(data: bytes) -> RasterImage:
                 len(data),
             )
         dtype = np.uint8 if itemsize == 1 else np.dtype(">u2")
-        raw = np.frombuffer(data, dtype=dtype, count=count, offset=payload).astype(np.int64)
+        raw = np.frombuffer(data, dtype=dtype, count=count, offset=payload)
         if raw.max(initial=0) > maxval:
             bad = int(np.argmax(raw > maxval))
             raise PgmParseError(
@@ -216,14 +245,16 @@ def decode_pgm(data: bytes) -> RasterImage:
                 f"truncated pixel data: expected {count} samples, found {len(samples)}", len(data)
             )
 
-    samples = (raw.astype(np.float64) / maxval).reshape(height, width, 1)
-    return RasterImage(samples)
+    codes = raw.astype(np.uint8 if maxval < 256 else np.uint16)
+    return RasterImage(codes.reshape(height, width, 1), maxval)
 
 
 def encode_pgm(img: GrayImage) -> bytes:
     """Encode a GrayImage as 8-bit binary P5, rounding values to 1/255 steps."""
     header = f"P5\n{img.width} {img.height}\n255\n".encode("ascii")
-    return header + np.rint(img.values * 255).astype(np.uint8).tobytes()
+    scaled = img.values * 255
+    np.rint(scaled, out=scaled)
+    return header + scaled.astype(np.uint8).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -326,13 +357,13 @@ def _unfilter(raw: bytes, width: int, height: int, nch: int) -> np.ndarray:
 
 
 def decode_png(data: bytes) -> RasterImage:
-    """Decode an 8-bit gray/RGB PNG; alpha is composited over white.
+    """Decode an 8-bit gray/RGB PNG, with or without alpha, into its uint8 codes.
 
     Rows may use any of the five scanline filters. They are undone in a
     wavefront over the image's anti-diagonals, height + width - 1 numpy
     steps in O(width * height) memory whatever the shape (see
-    _unfilter). Samples are c / 255 * a + (1 - a) for color c and
-    alpha a / 255, computed in place on the color channels alone.
+    _unfilter). The codes are returned as they are, alpha included;
+    ``samples`` and to_grayscale composite alpha over white.
     Palette, 16-bit, and interlaced files raise PngUnsupportedError;
     structural damage (bad CRC, corrupt stream, unknown filter type)
     raises PngParseError.
@@ -404,39 +435,55 @@ def decode_png(data: bytes) -> RasterImage:
     if len(raw) != expected:
         size = f"more than {expected}" if len(raw) > expected else len(raw)
         raise PngParseError(f"decompressed image data has {size} bytes, expected {expected}", 0)
-    pixels = _unfilter(raw, width, height, nch)
-    del raw  # before the float samples are allocated, to lower the peak
-    # Composite in place: the same IEEE operations in the same order as
-    # color * a + (1 - a), without full-size float temporaries.
-    samples = pixels[:, :, : 3 if nch >= 3 else 1].astype(np.float64)
-    samples /= 255.0
-    if color_type in (4, 6):  # alpha over white
-        a = pixels[:, :, nch - 1 :].astype(np.float64)
-        a /= 255.0
-        samples *= a
-        np.subtract(1.0, a, out=a)
-        samples += a
-    return RasterImage(samples)
+    return RasterImage(_unfilter(raw, width, height, nch), 255)
 
 
 # ---------------------------------------------------------------------------
 
+# Pixels read through the lookup tables at a time: the index and float
+# temporaries of one block take a few hundred KiB whatever the image.
+_GRAY_BLOCK = 1 << 16
+
 
 def to_grayscale(img: RasterImage) -> GrayImage:
-    """Collapse a RasterImage to intensities.
+    """Collapse a RasterImage to intensities, bitwise equal to the luma of its samples.
 
-    1-channel input is passed through unchanged; RGB uses Rec. 601 luma
-    (0.299 R + 0.587 G + 0.114 B), whose weights sum to exactly 1.
+    One channel gives codes / maxval. Otherwise each color channel is
+    read through a table of its float64 luma term: luma_c * v/255 for
+    code v, or with alpha a, luma_c * (v/255 * a/255 + (1 - a/255))
+    indexed by (v << 8) | a; gray plus alpha has one table with luma 1.
+    The entries come from the same IEEE operations as ``samples``, and
+    RGB sums to Rec. 601 luma 0.299 R + (0.587 G + 0.114 B), green plus
+    blue first: 0.587 + 0.114 is exactly 0.701 in binary64, so pure
+    white maps to exactly 1.0, and adding red last is the same IEEE sum,
+    since addition commutes. The tables (at most 2 MiB) are built on
+    each call and gathered _GRAY_BLOCK pixels at a time, so the result
+    is the only full-size array made.
     """
-    if img.channels == 1:
-        return GrayImage(img.samples[:, :, 0])
-    r, g, b = img.samples[:, :, 0], img.samples[:, :, 1], img.samples[:, :, 2]
-    # _LUMA_R * r + (_LUMA_G * g + _LUMA_B * b) in one output and one
-    # scratch array. Sum green+blue first: 0.587 + 0.114 is exactly 0.701
-    # in binary64, so pure white maps to exactly 1.0; adding red last
-    # is the same IEEE sum, since addition commutes.
-    gray = np.multiply(_LUMA_G, g)
-    scratch = np.multiply(_LUMA_B, b)
-    gray += scratch
-    gray += np.multiply(_LUMA_R, r, out=scratch)
-    return GrayImage(gray)
+    p = img.pixels
+    if p.shape[2] == 1:
+        gray = p[:, :, 0].astype(np.float64)
+        gray /= img.maxval
+        return GrayImage(gray)
+    alpha = p.shape[2] in (2, 4)
+    v = np.arange(256) / 255.0
+    if alpha:
+        v = (np.multiply.outer(v, v) + (1.0 - v)).reshape(-1)
+    terms = [(v, 0)]
+    if img.channels == 3:  # green + blue first, then red
+        terms = [(_LUMA_G * v, 1), (_LUMA_B * v, 2), (_LUMA_R * v, 0)]
+    px = p.reshape(-1, p.shape[2])
+    gray = np.empty(len(px))
+    for start in range(0, len(px), _GRAY_BLOCK):
+        block = px[start : start + _GRAY_BLOCK]
+        out = gray[start : start + _GRAY_BLOCK]
+        for k, (table, c) in enumerate(terms):
+            index = block[:, c].astype(np.intp)
+            if alpha:
+                index <<= 8
+                index |= block[:, -1]
+            if k == 0:
+                np.take(table, index, out=out)
+            else:
+                out += table[index]
+    return GrayImage(gray.reshape(img.height, img.width))

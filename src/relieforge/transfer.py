@@ -38,6 +38,13 @@ class IntensityDomainError(GeometryError):
     """Intensity outside [0, 1] passed to evaluate/apply."""
 
 
+def _inside(x, lo, hi, lo_closed, hi_closed):
+    """Whether lo < x < hi, or x is a closed end; elementwise over arrays."""
+    above = (x > lo) | (lo_closed & (x == lo))
+    below = (x < hi) | (hi_closed & (x == hi))
+    return above & below
+
+
 @dataclass(frozen=True)
 class Segment:
     """Affine piece a*x + b over an interval of [0, 1].
@@ -63,14 +70,16 @@ class Segment:
 
     def contains(self, x: float | np.ndarray) -> bool | np.ndarray:
         """Whether x lies in the interval, elementwise for an array."""
-        above = (x > self.lo) | (self.lo_closed & (x == self.lo))
-        below = (x < self.hi) | (self.hi_closed & (x == self.hi))
-        return above & below
+        return _inside(x, self.lo, self.hi, self.lo_closed, self.hi_closed)
 
     def interval(self) -> str:
         lb = "[" if self.lo_closed else "("
         rb = "]" if self.hi_closed else ")"
         return f"{lb}{self.lo!r},{self.hi!r}{rb}"
+
+
+# Points evaluate_array handles at a time.
+_EVAL_BLOCK = 1 << 16
 
 
 class TransferFunction:
@@ -118,18 +127,36 @@ class TransferFunction:
         raise CoverageError(f"no segment matches {x!r}; function is malformed")
 
     def evaluate_array(self, x: np.ndarray) -> np.ndarray:
-        """Vectorized evaluate; same arithmetic as the scalar path."""
+        """Vectorized evaluate, bitwise equal to the scalar path, in one pass.
+
+        The segments tile [0, 1] in order, so x's segment is the first
+        whose upper end is >= x (``searchsorted``), or the next one where
+        x sits on that end and the end is open: a segment open at c is
+        followed by one closed at c, a point segment [c,c] included.
+        Each chosen segment is checked to contain its x, then gives
+        a*x + b. Points go _EVAL_BLOCK at a time, so the segment index and
+        the gathered bounds and coefficients take a few MiB at most.
+        """
         x = np.asarray(x, dtype=np.float64)
         if x.size and (x.min() < 0.0 or x.max() > 1.0):
             raise IntensityDomainError("intensities outside [0, 1]")
-        out = np.empty_like(x)
-        seen = np.zeros(x.shape, dtype=bool)
-        for seg in self.segments:
-            mask = seg.contains(x)
-            out[mask] = seg.a * x[mask] + seg.b
-            seen |= mask
-        if not seen.all():
-            raise CoverageError("some intensities match no segment; function is malformed")
+        lo, hi, lo_closed, hi_closed, a, b = (
+            np.array([getattr(s, f) for s in self.segments])
+            for f in ("lo", "hi", "lo_closed", "hi_closed", "a", "b")
+        )
+        out = np.empty(x.shape)
+        flat_x, flat_out = x.reshape(-1), out.reshape(-1)
+        for start in range(0, len(flat_x), _EVAL_BLOCK):
+            xb = flat_x[start : start + _EVAL_BLOCK]
+            # The last segment ends closed at 1.0, so only the others'
+            # ends are searched; NaN lands past them and fails the check.
+            k = np.searchsorted(hi[:-1], xb)
+            k += (xb == hi[k]) & ~hi_closed[k]
+            if not _inside(xb, lo[k], hi[k], lo_closed[k], hi_closed[k]).all():
+                raise CoverageError("some intensities match no segment; function is malformed")
+            ob = flat_out[start : start + _EVAL_BLOCK]
+            np.multiply(a[k], xb, out=ob)
+            ob += b[k]
         return out
 
     def __eq__(self, other) -> bool:
@@ -231,5 +258,7 @@ def apply(tf: TransferFunction, img: GrayImage | ScalarGrid, scale: float = 4.0)
     if not scale > 0:
         raise ValueError(f"scale must be positive, got {scale!r}")
     # An overflow yields inf quietly; HeightGrid refuses non-finite heights.
+    heights = tf.evaluate_array(img.values)
     with np.errstate(over="ignore"):
-        return ScalarGrid(scale * tf.evaluate_array(img.values))
+        heights *= scale
+    return ScalarGrid(heights)

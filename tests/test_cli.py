@@ -4,6 +4,7 @@ import stat
 import subprocess
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ import pytest
 from relieforge import cli
 from relieforge.mesh import TriangleMesh, close_solid
 
-from conftest import make_pgm
+from conftest import make_pgm, make_png
 
 CLI = [sys.executable, "-m", "relieforge"]
 
@@ -557,6 +558,25 @@ class TestPreview:
         run("preview", img, "-o", out)
         payload = out.read_bytes()[-4:]
         assert payload == b"\xff\xff\x00\x00"  # tall (dark) row printed first
+
+    def test_peak_memory_under_three_float_grids(self, tmp_path):
+        # A logo-like RGBA image: flat blocks of color and alpha, which
+        # compress as real logos do.
+        height, width = 420, 1200
+        rng = np.random.default_rng(14)
+        blocks = rng.integers(0, 256, size=(height // 20, width // 20, 4), dtype=np.uint8)
+        img = tmp_path / "logo.png"
+        img.write_bytes(make_png(blocks.repeat(20, axis=0).repeat(20, axis=1), color_type=6))
+        tracemalloc.start()
+        try:
+            cli.preview(cli.PipelineConfig(str(img)), str(tmp_path / "p.pgm"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The decode peaks in the unfilter, at 2.5 float64 grids: the
+        # scanlines, its padded buffer, the pixel positions and the codes.
+        # Gray and the transfer hold at most two grids at once.
+        assert peak < 3 * height * width * 8
 
 
 class TestDeterminism:

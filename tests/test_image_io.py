@@ -289,7 +289,9 @@ class TestDecodePng:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # The float64 samples and alpha alone take 8x the RGBA bytes.
+        # The decode peaks in the unfilter, at 10-16x the RGBA bytes here:
+        # its padded buffer, pixel positions and per-diagonal steps. The
+        # float64 samples and alpha derived afterwards take 8x.
         assert peak < 32 * raw_size
         raw = scanlines(rows)
         pixels = np.frombuffer(unfilter_reference(raw, width, height, 4), dtype=np.uint8)
@@ -308,29 +310,53 @@ class TestDecodePng:
         assert np.array_equal(np.rint(ours.samples * 255).astype(np.uint8), theirs)
 
 
+class TestRasterImage:
+    def test_png_keeps_codes_and_alpha(self):
+        img = decode_png(make_png(np.array([[[7, 128]]]), color_type=4))
+        assert img.pixels.dtype == np.uint8 and img.pixels.tolist() == [[[7, 128]]]
+        assert img.maxval == 255 and img.channels == 1
+
+    @pytest.mark.parametrize(
+        "pixels, maxval, match",
+        [
+            (np.zeros((1, 1, 1)), 255, "uint8 or uint16"),
+            (np.zeros((1, 1, 5), dtype=np.uint8), 255, r"\(h, w, 1\|2\|3\|4\)"),
+            (np.zeros((0, 1, 1), dtype=np.uint8), 255, "dimensions"),
+            (np.zeros((1, 1, 3), dtype=np.uint16), 300, "maxval 300"),
+            (np.zeros((1, 1, 1), dtype=np.uint8), 0, "maxval 0"),
+            (np.full((1, 1, 1), 3, dtype=np.uint8), 2, r"\[0, 2\]"),
+        ],
+    )
+    def test_invalid_rasters_rejected(self, pixels, maxval, match):
+        with pytest.raises(ValueError, match=match):
+            RasterImage(pixels, maxval)
+
+
 class TestToGrayscale:
     def test_gray_identity(self):
-        img = RasterImage(np.array([[[0.5]]]))
+        img = RasterImage(np.array([[[1]]], dtype=np.uint8), maxval=2)
         assert to_grayscale(img).values[0, 0] == 0.5
 
     def test_white_is_exactly_one(self):
-        img = RasterImage(np.ones((2, 2, 3)))
+        img = RasterImage(np.full((2, 2, 3), 255, dtype=np.uint8), maxval=255)
         assert np.all(to_grayscale(img).values == 1.0)
 
     def test_pure_red(self):
-        img = RasterImage(np.array([[[1.0, 0.0, 0.0]]]))
+        img = RasterImage(np.array([[[255, 0, 0]]], dtype=np.uint8), maxval=255)
         assert to_grayscale(img).values[0, 0] == 0.299
 
     def test_idempotent_on_gray(self):
+        # Gray read back as codes of the same maxval gives the same gray.
         rng = np.random.default_rng(3)
-        v = rng.uniform(size=(4, 6, 1))
-        out1 = to_grayscale(RasterImage(v))
-        out2 = to_grayscale(RasterImage(out1.values[:, :, None]))
+        v = rng.integers(0, 1001, size=(4, 6, 1), dtype=np.uint16)
+        out1 = to_grayscale(RasterImage(v, maxval=1000))
+        codes = np.rint(out1.values * 1000).astype(np.uint16)
+        out2 = to_grayscale(RasterImage(codes[:, :, None], maxval=1000))
         assert np.array_equal(out1.values, out2.values)
 
     def test_range_preserved(self):
         rng = np.random.default_rng(9)
-        img = RasterImage(rng.uniform(size=(8, 8, 3)))
+        img = RasterImage(rng.integers(0, 256, size=(8, 8, 3), dtype=np.uint8), maxval=255)
         vals = to_grayscale(img).values
         assert vals.min() >= 0.0 and vals.max() <= 1.0
 

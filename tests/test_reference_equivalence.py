@@ -9,12 +9,13 @@ oracle's cell split and mirrored copy of the grid; the ASCII STL writer
 formats each distinct float32 once, and the ASCII parser matches one
 pattern per facet and walks line by line only where that pattern stops;
 the PGM decoder reads P2 samples in whole-array passes; the PNG decoder
-undoes scanline filters one anti-diagonal at a time and composites
-alpha in place. The functions here are the earlier implementations --
-np.unique over bit rows and edge codes, np.cross and np.linalg.norm over
-(n, 3) rows, a Python loop per facet, per line and per sample -- kept as
-oracles; hypothesis checks that both give the same meshes, counts,
-bytes, samples and errors."""
+undoes scanline filters one anti-diagonal at a time, and to_grayscale
+reads integer codes through lookup tables instead of float samples. The
+functions here are the earlier implementations -- np.unique over bit
+rows and edge codes, np.cross and np.linalg.norm over (n, 3) rows, a
+Python loop per facet, per line and per sample, whole float arrays --
+kept as oracles; hypothesis checks that both give the same meshes,
+counts, bytes, samples, gray and errors."""
 
 import io
 import struct
@@ -39,7 +40,14 @@ from relieforge.mesh import (
 )
 from relieforge.stl_io import AsciiStlError, _parse_ascii, read_stl, write_ascii_stl
 
-from conftest import cells_outside, flat_blocks_reference, make_png_filtered, top_corners
+from conftest import (
+    cells_outside,
+    flat_blocks_reference,
+    make_pgm,
+    make_png,
+    make_png_filtered,
+    top_corners,
+)
 
 SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -726,9 +734,9 @@ def unfilter_reference(raw: bytes, width: int, height: int, nch: int) -> bytearr
     return out
 
 
-def samples_reference(pixels: np.ndarray, color_type: int) -> np.ndarray:
-    """decode_png's samples from (h, w, nch) uint8 pixels, through full float arrays."""
-    arr = pixels.astype(np.float64) / 255.0
+def samples_reference(pixels: np.ndarray, color_type: int, maxval: int = 255) -> np.ndarray:
+    """A raster's samples from (h, w, nch) codes, through full float arrays."""
+    arr = pixels.astype(np.float64) / maxval
     if color_type in (0, 2):
         return arr
     if color_type == 4:
@@ -736,6 +744,19 @@ def samples_reference(pixels: np.ndarray, color_type: int) -> np.ndarray:
         return arr[:, :, 0:1] * a + (1.0 - a)
     a = arr[:, :, 3:4]
     return arr[:, :, 0:3] * a + (1.0 - a)
+
+
+def gray_reference(samples: np.ndarray) -> np.ndarray:
+    """to_grayscale's values from float samples: gray as is, RGB by Rec. 601 luma."""
+    if samples.shape[2] == 1:
+        return samples[:, :, 0]
+    r, g, b = samples[:, :, 0], samples[:, :, 1], samples[:, :, 2]
+    return 0.299 * r + (0.587 * g + 0.114 * b)
+
+
+def assert_bitwise(got: np.ndarray, expected: np.ndarray) -> None:
+    assert got.dtype == expected.dtype == np.float64 and got.shape == expected.shape
+    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
 @st.composite
@@ -775,6 +796,39 @@ def test_png_samples_match_float_reference(color_type, data):
     raw = scanlines(rows)
     pixels = np.frombuffer(unfilter_reference(raw, width, height, nch), dtype=np.uint8)
     expected = samples_reference(pixels.reshape(height, width, nch), color_type)
-    got = image_io.decode_png(make_png_filtered(width, height, color_type, rows)).samples
-    assert got.shape == expected.shape
-    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+    raster = image_io.decode_png(make_png_filtered(width, height, color_type, rows))
+    assert raster.pixels.tobytes() == pixels.tobytes()
+    assert_bitwise(raster.samples, expected)
+    assert_bitwise(image_io.to_grayscale(raster).values, gray_reference(expected))
+
+
+@pytest.mark.parametrize("color_type", [4, 6])
+def test_png_gray_covers_every_code_and_alpha(color_type):
+    # Pixel (v, a) holds color v (blue 7v mod 256, a permutation) under
+    # alpha a, so every entry of every lookup table is read once.
+    v, a = np.meshgrid(np.arange(256), np.arange(256), indexing="ij")
+    planes = [v] if color_type == 4 else [v, 255 - v, 7 * v % 256]
+    pixels = np.stack(planes + [a], axis=2).astype(np.uint8)
+    raster = image_io.decode_png(make_png(pixels, color_type))
+    expected = samples_reference(pixels, color_type)
+    assert_bitwise(raster.samples, expected)
+    assert_bitwise(image_io.to_grayscale(raster).values, gray_reference(expected))
+
+
+@st.composite
+def pgm_codes(draw):
+    maxval = draw(st.one_of(st.integers(1, 300), st.integers(1, 65535)))
+    shape = (draw(st.integers(1, 6)), draw(st.integers(1, 6)))
+    codes = draw(arrays(np.int64, shape, elements=st.integers(0, maxval)))
+    return codes, maxval
+
+
+@SETTINGS
+@given(pgm_codes(), st.booleans())
+def test_pgm_samples_and_gray_match_float_reference(case, ascii_format):
+    codes, maxval = case
+    raster = decode_pgm(make_pgm(codes, maxval, ascii_format))
+    assert raster.pixels.dtype == (np.uint8 if maxval < 256 else np.uint16)
+    expected = samples_reference(codes[:, :, None], 0, maxval)
+    assert_bitwise(raster.samples, expected)
+    assert_bitwise(image_io.to_grayscale(raster).values, gray_reference(expected))

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relieforge.heightfield import ScalarGrid
 from relieforge.image_io import GrayImage
+from relieforge import transfer
 from relieforge.transfer import (
     CoverageError,
     IntensityDomainError,
@@ -178,3 +181,60 @@ class TestApply:
         arr = apply(tf, GrayImage(xs), scale=4.0).values[0]
         for x, got in zip(xs[0], arr):
             assert got == 4.0 * tf.evaluate(float(x))
+
+
+@st.composite
+def tilings(draw):
+    """Segments over [0, 1] cut at drawn points, each cut closed on the
+    left, closed on the right, or a point segment [c,c] of its own."""
+    cuts = sorted(set(draw(st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), max_size=6))))
+    coef = st.floats(-10.0, 10.0)
+    segments, lo, lo_closed = [], 0.0, True
+    for c in cuts + [1.0]:
+        kind = "left" if c == 1.0 else draw(st.sampled_from(["left", "right", "point"]))
+        segments.append(Segment(lo, c, lo_closed, kind == "left", draw(coef), draw(coef)))
+        if kind == "point":
+            segments.append(Segment(c, c, True, True, draw(coef), draw(coef)))
+        lo, lo_closed = c, kind == "right"
+    return TransferFunction(segments)
+
+
+def probe_points(tf: TransferFunction, rng: np.random.Generator) -> np.ndarray:
+    """Every segment bound, its float neighbours on both sides, and random interior points."""
+    bounds = np.unique([v for seg in tf.segments for v in (seg.lo, seg.hi)])
+    near = np.concatenate([np.nextafter(bounds, 0.0), np.nextafter(bounds, 1.0)])
+    return np.concatenate([bounds, near, rng.uniform(size=64)])
+
+
+def assert_matches_scalar(tf: TransferFunction, xs: np.ndarray) -> None:
+    got = tf.evaluate_array(xs)
+    expected = np.array([tf.evaluate(float(x)) for x in xs.ravel()]).reshape(xs.shape)
+    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
+class TestEvaluateArray:
+    def test_preset_bitwise_equal_to_scalar(self):
+        tf = preset_jdrf()
+        assert_matches_scalar(tf, probe_points(tf, np.random.default_rng(1)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(tilings(), st.integers(0, 2**32 - 1))
+    def test_tilings_bitwise_equal_to_scalar(self, tf, seed):
+        assert_matches_scalar(tf, probe_points(tf, np.random.default_rng(seed)))
+
+    def test_input_longer_than_a_block(self):
+        tf = parse_transfer_spec("[0.0,0.5) => 1.0\n[0.5,0.5] => 2.0\n(0.5,1.0] => -0.5*x + 3.0\n")
+        points = probe_points(tf, np.random.default_rng(2))
+        xs = np.resize(points, (3, transfer._EVAL_BLOCK // 2 + 1))
+        assert_matches_scalar(tf, xs)
+
+    def test_nan_matches_no_segment(self):
+        with pytest.raises(CoverageError):
+            preset_jdrf().evaluate_array(np.array([0.5, np.nan]))
+
+    @settings(max_examples=50, deadline=None)
+    @given(tilings(), st.floats(1e-3, 1e3))
+    def test_apply_scales_exactly(self, tf, scale):
+        grid = ScalarGrid(probe_points(tf, np.random.default_rng(3)).reshape(1, -1))
+        scaled = apply(tf, grid, scale).values
+        assert np.array_equal(scaled, scale * apply(tf, grid, 1.0).values)
