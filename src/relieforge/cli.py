@@ -12,11 +12,16 @@ Three subcommands:
     run the shaping stages only and write a normalized PGM of the
     height grid for eyeballing before committing to a print.
 
+A convert or preview run is described by one PipelineConfig, whose
+fields hold every option's default; each flag's ``dest`` is the name of
+its field, so the parsed flags fill the config by name.
+
 Reports are a single JSON object on stdout so callers can pipe them
 straight into a JSON parser; the human one-liner goes to stderr. Exit
 codes: 0 success, 2 usage, 3 unreadable/unparsable input, 4 geometry
-failure (including a non-watertight result), 5 output I/O failure,
-1 an internal error, reported in one line without a traceback.
+failure (including a non-watertight result), 5 output I/O failure
+(including a stdout whose reader has gone), 1 an internal error,
+reported in one line without a traceback.
 Every output file is written beside its path, flushed to disk and
 renamed into place, so a failed run leaves no partial file and keeps the
 one it would replace; pipes and devices are written in place.
@@ -32,8 +37,9 @@ import os
 import stat
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
+from typing import ClassVar
 
 from . import image_io, transfer
 from .errors import GeometryError, InputParseError, OutputError
@@ -60,33 +66,35 @@ __all__ = [
 
 _PROG = "relieforge"
 
-DEFAULT_PRESET = "jdrf-relief"
-DEFAULT_SCALE = 4.0
-DEFAULT_WIDTH_MM = 80.0
-DEFAULT_DEPTH_MM = 28.0
-
 
 @dataclass
 class PipelineConfig:
-    """Everything one convert/preview run needs, with printable defaults."""
+    """Everything one convert/preview run needs, with printable defaults.
+
+    A run given neither ``preset`` nor ``transfer_path`` uses the
+    ``fallback_preset``; one given both is refused.
+    """
+
+    fallback_preset: ClassVar[str] = "jdrf-relief"
 
     input_path: str
-    output_path: str | None = None
-    preset: str | None = DEFAULT_PRESET
+    output_path: str
+    preset: str | None = None
     transfer_path: str | None = None
-    scale: float = DEFAULT_SCALE
-    width_mm: float = DEFAULT_WIDTH_MM
-    depth_mm: float = DEFAULT_DEPTH_MM
+    scale: float = 4.0
+    width_mm: float = 80.0
+    depth_mm: float = 28.0
     pad: bool = False
     pad_value: float = 0.0
     mirror_x: bool = False
     ascii_format: bool = False
     base_z: float = 0.0
-    report_path: str | None = None
 
     def __post_init__(self):
-        if (self.preset is None) == (self.transfer_path is None):
-            raise ValueError("exactly one of preset / transfer_path must be set")
+        if self.preset is None and self.transfer_path is None:
+            self.preset = self.fallback_preset
+        elif self.preset is not None and self.transfer_path is not None:
+            raise ValueError("at most one of preset / transfer_path may be set")
         if not self.scale > 0:
             raise ValueError(f"scale must be positive, got {self.scale}")
 
@@ -249,11 +257,6 @@ def _shape_heights(cfg: PipelineConfig) -> tuple[HeightGrid, list[str], list[int
     return grid_mm, warnings, input_px, tf.name
 
 
-def _write_stl(mesh, cfg: PipelineConfig) -> None:
-    writer = write_ascii_stl if cfg.ascii_format else write_binary_stl
-    _write_atomically(cfg.output_path, lambda fh: writer(mesh, fh))
-
-
 def convert(cfg: PipelineConfig) -> RunReport:
     """Run the full pipeline and write the STL; report what was built.
 
@@ -286,7 +289,8 @@ def convert(cfg: PipelineConfig) -> RunReport:
         raise RejectedSolidError("not watertight", run_report())
     if mesh_report.degenerate_count and not cfg.pad:
         raise RejectedSolidError("degenerate triangles", run_report())
-    _write_stl(mesh, cfg)
+    writer = write_ascii_stl if cfg.ascii_format else write_binary_stl
+    _write_atomically(cfg.output_path, lambda fh: writer(mesh, fh))
     return run_report()
 
 
@@ -303,8 +307,8 @@ def inspect(path: str) -> RunReport:
     return RunReport.from_mesh_report(mesh_report, elapsed_ms=round(elapsed, 3))
 
 
-def preview(cfg: PipelineConfig, out_path: str) -> None:
-    """Write a PGM rendering of the shaped height grid.
+def preview(cfg: PipelineConfig) -> None:
+    """Write a PGM rendering of the shaped height grid to ``cfg.output_path``.
 
     Pixel value is round(255 * (h - min) / (max - min)); a constant grid
     maps to all zeros. Rows come out top of the relief first, matching
@@ -321,7 +325,7 @@ def preview(cfg: PipelineConfig, out_path: str) -> None:
     # Grid row 0 sits at the south (bottom) edge; PGM rows scan top-down.
     img = image_io.GrayImage(values=h[::-1, :])
     data = image_io.encode_pgm(img)
-    _write_atomically(out_path, lambda fh: fh.write(data))
+    _write_atomically(cfg.output_path, lambda fh: fh.write(data))
 
 
 def _finite_float(text: str) -> float:
@@ -338,32 +342,41 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _add_shaping_flags(p: argparse.ArgumentParser) -> None:
+def _add_run_flags(p: argparse.ArgumentParser, output_kind: str) -> None:
+    """Flags for convert and preview; each dest names a PipelineConfig field."""
+    p.add_argument("input_path", metavar="input", help="PGM or PNG image")
+    p.add_argument(
+        "--output",
+        "-o",
+        dest="output_path",
+        metavar="OUTPUT",
+        required=True,
+        help=f"{output_kind} file to write",
+    )
     tf = p.add_mutually_exclusive_group()
     tf.add_argument(
         "--preset",
-        default=None,
-        help=f"named transfer function (default: {DEFAULT_PRESET})",
+        help=f"named transfer function (default: {PipelineConfig.fallback_preset})",
     )
     tf.add_argument(
-        "--transfer", metavar="FILE", default=None, help="transfer-spec file to apply"
+        "--transfer", dest="transfer_path", metavar="FILE", help="transfer-spec file to apply"
     )
     p.add_argument(
         "--scale",
         type=_positive_float,
-        default=DEFAULT_SCALE,
+        default=PipelineConfig.scale,
         help="multiplier applied after the transfer function (default %(default)s)",
     )
     p.add_argument(
         "--width-mm",
         type=_positive_float,
-        default=DEFAULT_WIDTH_MM,
+        default=PipelineConfig.width_mm,
         help="physical width of the relief (default %(default)s)",
     )
     p.add_argument(
         "--depth-mm",
         type=_positive_float,
-        default=DEFAULT_DEPTH_MM,
+        default=PipelineConfig.depth_mm,
         help="physical depth of the relief (default %(default)s)",
     )
     p.add_argument(
@@ -372,7 +385,7 @@ def _add_shaping_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--pad-value",
         type=_finite_float,
-        default=0.0,
+        default=PipelineConfig.pad_value,
         metavar="MM",
         help="height of the padding border (default %(default)s)",
     )
@@ -395,61 +408,50 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_convert = sub.add_parser("convert", help="image -> watertight STL")
-    p_convert.add_argument("input", help="PGM or PNG image")
-    p_convert.add_argument("--output", "-o", required=True, help="STL file to write")
-    _add_shaping_flags(p_convert)
+    _add_run_flags(p_convert, "STL")
     p_convert.add_argument(
-        "--ascii", action="store_true", help="write ASCII STL instead of binary"
+        "--ascii",
+        dest="ascii_format",
+        action="store_true",
+        help="write ASCII STL instead of binary",
     )
     p_convert.add_argument(
         "--base-z",
         type=_finite_float,
-        default=0.0,
+        default=PipelineConfig.base_z,
         metavar="MM",
         help="z of the base plane (default %(default)s)",
     )
-    p_convert.add_argument(
-        "--report", metavar="FILE", default=None, help="also write the JSON report here"
-    )
 
     p_inspect = sub.add_parser("inspect", help="validate an existing STL")
-    p_inspect.add_argument("input", help="STL file to measure")
-    p_inspect.add_argument(
-        "--report", metavar="FILE", default=None, help="also write the JSON report here"
-    )
+    p_inspect.add_argument("input_path", metavar="input", help="STL file to measure")
+    for p in (p_convert, p_inspect):
+        p.add_argument(
+            "--report", dest="report_path", metavar="FILE", help="also write the JSON report here"
+        )
 
     p_preview = sub.add_parser("preview", help="render the height grid to a PGM")
-    p_preview.add_argument("input", help="PGM or PNG image")
-    p_preview.add_argument("--output", "-o", required=True, help="PGM file to write")
-    _add_shaping_flags(p_preview)
+    _add_run_flags(p_preview, "PGM")
 
     return parser
 
 
 def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
-    preset = args.preset
-    if preset is None and args.transfer is None:
-        preset = DEFAULT_PRESET
+    given = vars(args)
     return PipelineConfig(
-        input_path=args.input,
-        output_path=getattr(args, "output", None),
-        preset=preset,
-        transfer_path=args.transfer,
-        scale=args.scale,
-        width_mm=args.width_mm,
-        depth_mm=args.depth_mm,
-        pad=args.pad,
-        pad_value=args.pad_value,
-        mirror_x=args.mirror_x,
-        ascii_format=getattr(args, "ascii", False),
-        base_z=getattr(args, "base_z", 0.0),
-        report_path=getattr(args, "report", None),
+        **{f.name: given[f.name] for f in fields(PipelineConfig) if f.name in given}
     )
 
 
 def _emit_report(report: RunReport, report_path: str | None) -> None:
     text = report.to_json()
-    print(text)
+    try:
+        print(text, flush=True)  # a stdout whose reader has gone fails here
+    except OSError as exc:
+        # The interpreter flushes the unwritten report again at exit;
+        # it goes to devnull instead of failing a second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise OutputError(f"cannot write stdout: {exc.strerror or exc}") from exc
     if report_path is not None:
         _write_atomically(report_path, lambda fh: fh.write(f"{text}\n".encode()))
 
@@ -475,23 +477,24 @@ def main(argv: list[str] | None = None) -> int:
                 report, rejected = convert(cfg), None
             except RejectedSolidError as exc:
                 report, rejected = exc.report, exc
-            _emit_report(report, cfg.report_path)
+            _emit_report(report, args.report_path)
             _summarize("convert", cfg.output_path, report)
             if rejected is not None:
                 print(f"{_PROG}: geometry: {rejected}", file=sys.stderr)
                 return 4
             return 0
         if args.command == "inspect":
-            report = inspect(args.input)
-            _emit_report(report, args.report)
-            _summarize("inspect", args.input, report)
+            report = inspect(args.input_path)
+            _emit_report(report, args.report_path)
+            _summarize("inspect", args.input_path, report)
             if not report.watertight:
                 print(f"{_PROG}: geometry: not watertight", file=sys.stderr)
                 return 4
             return 0
         if args.command == "preview":
-            preview(_config_from_args(args), args.output)
-            print(f"{_PROG} preview: wrote {args.output}", file=sys.stderr)
+            cfg = _config_from_args(args)
+            preview(cfg)
+            print(f"{_PROG} preview: wrote {cfg.output_path}", file=sys.stderr)
             return 0
         raise AssertionError(f"unhandled command {args.command}")
     except InputParseError as exc:

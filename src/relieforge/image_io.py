@@ -327,32 +327,23 @@ def _unfilter(raw: bytes, width: int, height: int, nch: int) -> np.ndarray:
     paeth_rows = np.repeat(ftypes[:, None] == 4, nch, axis=1)
     wa = np.repeat(np.array([0, 2, 0, 1, 0], dtype=np.int16)[ftypes][:, None], nch, axis=1)
     wb = np.repeat(np.array([0, 0, 2, 1, 0], dtype=np.int16)[ftypes][:, None], nch, axis=1)
-    # Step parameters are made a block of diagonals at a time, as Python
-    # ints, which index fastest; the block bounds the memory they take.
-    for block in range(2, height + width + 1, 1024):
-        dd = np.arange(block, min(block + 1024, height + width + 1))
-        first = np.maximum(1, dd - width)
-        last = np.minimum(height, dd - 1)
-        steps = np.stack(
-            [
-                base[dd] + first,
-                last - first + 1,
-                base[dd - 1] + first,
-                base[dd - 2] + first - 1,
-                first - 1,
-            ],
-            axis=1,
-        )
-        for at, n, left, upleft, row in steps.tolist():
-            a = buf[left : left + n].astype(np.int16)
-            b = buf[left - 1 : left - 1 + n].astype(np.int16)
-            c = buf[upleft : upleft + n].astype(np.int16)
-            pred = a * wa[row : row + n]
-            pred += b * wb[row : row + n]
-            pred >>= 1
-            np.copyto(pred, _paeth(a, b, c), where=paeth_rows[row : row + n])
-            cur = buf[at : at + n]
-            np.add(cur, pred, out=cur, casting="unsafe")
+    starts = base.tolist()  # Python ints index fastest
+    for dd in range(2, height + width + 1):
+        first = max(1, dd - width)
+        n = min(height, dd - 1) - first + 1
+        at = starts[dd] + first
+        left = starts[dd - 1] + first
+        upleft = starts[dd - 2] + first - 1
+        row = first - 1
+        a = buf[left : left + n].astype(np.int16)
+        b = buf[left - 1 : left - 1 + n].astype(np.int16)
+        c = buf[upleft : upleft + n].astype(np.int16)
+        pred = a * wa[row : row + n]
+        pred += b * wb[row : row + n]
+        pred >>= 1
+        np.copyto(pred, _paeth(a, b, c), where=paeth_rows[row : row + n])
+        cur = buf[at : at + n]
+        np.add(cur, pred, out=cur, casting="unsafe")
     return flat.view(pixel)[pos].view(np.uint8).reshape(height, width, nch)
 
 

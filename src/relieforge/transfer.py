@@ -247,7 +247,7 @@ def serialize_transfer_spec(tf: TransferFunction) -> str:
     return "\n".join(lines) + "\n"
 
 
-def apply(tf: TransferFunction, img: GrayImage | ScalarGrid, scale: float = 4.0) -> ScalarGrid:
+def apply(tf: TransferFunction, img: GrayImage | ScalarGrid, scale: float) -> ScalarGrid:
     """Map every intensity through ``tf`` and scale to millimeters.
 
     ``scale`` is the dimensionless multiplier applied after evaluation,

@@ -6,11 +6,18 @@ against the package decoder, so decode tests check two independent
 implementations against each other.
 """
 
+import os
 import struct
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+# pytest finds the package in src (pyproject's pythonpath); the CLI
+# processes the tests spawn import it from the same checkout.
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 
 def make_pgm(arr, maxval=255, ascii_format=False) -> bytes:

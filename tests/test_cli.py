@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import json
 import os
 import stat
@@ -377,6 +379,97 @@ class TestExitCodes:
         assert "output-io" in proc.stderr
 
 
+    @pytest.mark.parametrize("buffered", [True, False])
+    @pytest.mark.parametrize("verb", ["convert", "inspect"])
+    def test_closed_stdout_is_an_output_error(self, tmp_path, logo_pgm, verb, buffered):
+        stl = tmp_path / "x.stl"
+        assert run("convert", logo_pgm, "-o", stl).returncode == 0
+        args = [stl] if verb == "inspect" else [logo_pgm, "-o", tmp_path / "y.stl"]
+        # A buffered stdout fails only when flushed, at the latest at exit.
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if not buffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [*CLI, verb, *map(str, args)],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+                env=env,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 5
+        assert proc.stderr == "relieforge: output-io: cannot write stdout: Broken pipe\n"
+
+
+class TestOptions:
+    def test_transfer_path_alone(self):
+        cfg = cli.PipelineConfig("in.png", "out.stl", transfer_path="t.tf")
+        assert cfg.preset is None and cfg.transfer_path == "t.tf"
+
+    def test_no_transfer_uses_jdrf_relief(self):
+        assert cli.PipelineConfig("in.png", "out.stl").preset == "jdrf-relief"
+
+    def test_preset_and_transfer_path_refused(self):
+        with pytest.raises(ValueError):
+            cli.PipelineConfig("in.png", "out.stl", preset="jdrf-relief", transfer_path="t.tf")
+
+    @staticmethod
+    def parsed(*argv):
+        return cli._config_from_args(cli._build_parser().parse_args(list(argv)))
+
+    @pytest.mark.parametrize("verb", ["convert", "preview"])
+    def test_minimal_argv_gives_defaults(self, verb):
+        assert self.parsed(verb, "in.png", "-o", "out") == cli.PipelineConfig("in.png", "out")
+
+    SHARED_FLAGS = [
+        (["--preset", "p"], "preset", "p"),
+        (["--transfer", "t.tf"], "transfer_path", "t.tf"),
+        (["--scale", "2.5"], "scale", 2.5),
+        (["--width-mm", "50"], "width_mm", 50.0),
+        (["--depth-mm", "10"], "depth_mm", 10.0),
+        (["--pad"], "pad", True),
+        (["--pad-value", "1.5"], "pad_value", 1.5),
+        (["--mirror-x"], "mirror_x", True),
+    ]
+
+    @pytest.mark.parametrize(
+        "verb, flags, name, value",
+        [("convert", *case) for case in SHARED_FLAGS]
+        + [("preview", *case) for case in SHARED_FLAGS]
+        + [
+            ("convert", ["--ascii"], "ascii_format", True),
+            ("convert", ["--base-z", "-1"], "base_z", -1.0),
+        ],
+    )
+    def test_flag_sets_its_field(self, verb, flags, name, value):
+        cfg = self.parsed(verb, "in.png", "-o", "out", *flags)
+        assert cfg == cli.PipelineConfig("in.png", "out", **{name: value})
+
+    def test_every_dest_names_a_field(self):
+        fields = {f.name for f in dataclasses.fields(cli.PipelineConfig)}
+        (subparsers,) = [
+            a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        ]
+        assert set(subparsers.choices) == {"convert", "inspect", "preview"}
+        for parser in subparsers.choices.values():
+            dests = {a.dest for a in parser._actions} - {"help", "report_path"}
+            assert dests <= fields
+
+    @pytest.mark.parametrize("verb", ["convert", "preview"])
+    def test_help_shows_the_defaults(self, verb, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "200")
+        with pytest.raises(SystemExit) as exc:
+            cli.main([verb, "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        for shown in ("(default 4.0)", "(default 80.0)", "(default 28.0)", "(default: jdrf-relief)"):
+            assert shown in out
+
+
 class TestInternalErrors:
     @pytest.mark.parametrize(
         "exc, line",
@@ -569,7 +662,7 @@ class TestPreview:
         img.write_bytes(make_png(blocks.repeat(20, axis=0).repeat(20, axis=1), color_type=6))
         tracemalloc.start()
         try:
-            cli.preview(cli.PipelineConfig(str(img)), str(tmp_path / "p.pgm"))
+            cli.preview(cli.PipelineConfig(str(img), str(tmp_path / "p.pgm")))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
