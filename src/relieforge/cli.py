@@ -239,14 +239,16 @@ def _shape_heights(cfg: PipelineConfig) -> tuple[HeightGrid, list[str], list[int
     """Shared shaping stages for convert and preview.
 
     Returns the extent-assigned grid, warnings gathered so far, the
-    input pixel dimensions, and the transfer function's name.
+    input pixel dimensions, and the transfer function's name. After the
+    decode the run holds one float64 grid: the oriented grid is a view
+    of the gray intensities, and the heights overwrite them in place,
+    since nothing else holds them.
     """
     gray = _decode_image(cfg.input_path)
     input_px = [gray.width, gray.height]
     tf = _load_transfer(cfg)
     grid = grid_from_image(gray, mirror_x=cfg.mirror_x)
-    del gray  # the grid is a copy; free the intensities before the transfer
-    heights: ScalarGrid = transfer.apply(tf, grid, scale=cfg.scale)
+    heights: ScalarGrid = transfer.apply(tf, grid, scale=cfg.scale, out=grid.values)
     if cfg.pad:
         heights = pad_border(heights, value=cfg.pad_value)
     extent = PhysicalExtent(cfg.width_mm, cfg.depth_mm)

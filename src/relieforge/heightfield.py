@@ -134,13 +134,14 @@ def grid_from_image(img: GrayImage, mirror_x: bool = False) -> ScalarGrid:
     down the +Z axis at the finished relief then reads the image the
     right way up. ``mirror_x`` additionally reverses the columns, for
     parts meant to be read through the build plate.
+
+    The result is a view that shares the image's array: nothing is
+    copied, and a write through either shows in both.
     """
     v = img.values[::-1, :]
     if mirror_x:
         v = v[:, ::-1]
-    # A contiguous copy: transfer.apply loses more reading the flipped
-    # view than the copy costs (about 1 ms net at 2400x840).
-    return ScalarGrid(v.copy())
+    return ScalarGrid(v)
 
 
 def pad_border(g: ScalarGrid, value: float = 0.0, thickness: int = 1) -> ScalarGrid:

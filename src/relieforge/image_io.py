@@ -33,6 +33,12 @@ __all__ = [
     "to_grayscale",
 ]
 
+# Pixels that the blockwise passes (the unfilter's scatter and gather,
+# gray's table reads, the PGM encode) handle at a time: the index and
+# float temporaries of one block take a few hundred KiB whatever the
+# image. A pass that works in bands of rows takes one row at least.
+_BLOCK = 1 << 16
+
 # Rec. 601 luma weights, applied in this fixed order so that (1,1,1)
 # sums to exactly 1.0 in binary64.
 _LUMA_R = 0.299
@@ -250,11 +256,18 @@ def decode_pgm(data: bytes) -> RasterImage:
 
 
 def encode_pgm(img: GrayImage) -> bytes:
-    """Encode a GrayImage as 8-bit binary P5, rounding values to 1/255 steps."""
+    """Encode a GrayImage as 8-bit binary P5, rounding values to 1/255 steps.
+
+    Each code is rint(value * 255). The values, which may be any view,
+    are scaled and rounded about _BLOCK at a time, a band of rows, into
+    one uint8 buffer, so no float copy of the whole image is made.
+    """
     header = f"P5\n{img.width} {img.height}\n255\n".encode("ascii")
-    scaled = img.values * 255
-    np.rint(scaled, out=scaled)
-    return header + scaled.astype(np.uint8).tobytes()
+    codes = np.empty(img.values.shape, dtype=np.uint8)
+    band = max(1, _BLOCK // img.width)
+    for r in range(0, img.height, band):
+        codes[r : r + band] = np.rint(img.values[r : r + band] * 255)
+    return header + codes.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -296,11 +309,14 @@ def _unfilter(raw: bytes, width: int, height: int, nch: int) -> np.ndarray:
     decoded in one numpy step: height + width - 1 steps in all. The
     zero-padded (height+1) x (width+1) pixel grid is laid out diagonal by
     diagonal in one flat buffer, so each diagonal and each of its three
-    neighbour runs is a contiguous slice; the buffer is filled by one
-    fancy-index scatter and read out by one gather. Memory is O(width *
-    height) for any shape. Predictors are computed in int16 and stored
-    as uint8, which is the spec's sum modulo 256. A filter type above 4
-    is refused before any row is decoded.
+    neighbour runs is a contiguous slice. The scanlines are scattered
+    into the buffer, and the codes gathered back out of it, one band of
+    rows at a time, with each band's positions computed from the
+    diagonals' bases as it goes. Beside the scanlines, the buffer and
+    the codes, it holds O(_BLOCK + width + height) bytes for any shape.
+    Predictors are computed in int16 and stored as uint8, which is the
+    spec's sum modulo 256. A filter type above 4 is refused before any
+    row is decoded.
     """
     rows = np.frombuffer(raw, dtype=np.uint8).reshape(height, 1 + width * nch)
     ftypes = rows[:, 0]
@@ -312,11 +328,20 @@ def _unfilter(raw: bytes, width: int, height: int, nch: int) -> np.ndarray:
     # are the zero pixels the filters see beyond the image edge. Whole
     # pixels move as one nch-byte void item each.
     base, cells = _diagonal_bases(height, width)
-    pos = np.lib.stride_tricks.sliding_window_view(base[2:], width)[:height]
-    pos = pos + np.arange(1, height + 1)[:, None]
+    windows = np.lib.stride_tricks.sliding_window_view(base[2:], width)
+    band = max(1, _BLOCK // width)
+
+    def bands():
+        # Image row r's pixels sit at base[r + 2 : r + 2 + width] + r + 1.
+        for r in range(0, height, band):
+            rs = slice(r, min(r + band, height))
+            yield rs, windows[rs] + np.arange(rs.start + 1, rs.stop + 1)[:, None]
+
     pixel = np.dtype((np.void, nch))
     flat = np.zeros(cells * nch, dtype=np.uint8)
-    flat.view(pixel)[pos] = rows[:, 1:].view(pixel)
+    stored, slots = rows[:, 1:].view(pixel), flat.view(pixel)
+    for rs, at in bands():
+        slots[at] = stored[rs]
     buf = flat.reshape(-1, nch)
 
     # Diagonal dd holds padded rows first .. last, image rows first-1 ..
@@ -344,7 +369,11 @@ def _unfilter(raw: bytes, width: int, height: int, nch: int) -> np.ndarray:
         np.copyto(pred, _paeth(a, b, c), where=paeth_rows[row : row + n])
         cur = buf[at : at + n]
         np.add(cur, pred, out=cur, casting="unsafe")
-    return flat.view(pixel)[pos].view(np.uint8).reshape(height, width, nch)
+    codes = np.empty((height, width, nch), dtype=np.uint8)
+    decoded = codes.reshape(height, width * nch).view(pixel)
+    for rs, at in bands():
+        decoded[rs] = slots[at]
+    return codes
 
 
 def decode_png(data: bytes) -> RasterImage:
@@ -418,7 +447,7 @@ def decode_png(data: bytes) -> RasterImage:
     # inflates further is refused without ever being held in memory.
     inflater = zlib.decompressobj()
     try:
-        raw = inflater.decompress(bytes(idat), expected + 1)
+        raw = inflater.decompress(idat, expected + 1)
     except zlib.error as e:
         raise PngParseError(f"corrupt compressed stream: {e}", 0) from None
     if len(raw) <= expected and not inflater.eof:
@@ -430,11 +459,6 @@ def decode_png(data: bytes) -> RasterImage:
 
 
 # ---------------------------------------------------------------------------
-
-# Pixels read through the lookup tables at a time: the index and float
-# temporaries of one block take a few hundred KiB whatever the image.
-_GRAY_BLOCK = 1 << 16
-
 
 def to_grayscale(img: RasterImage) -> GrayImage:
     """Collapse a RasterImage to intensities, bitwise equal to the luma of its samples.
@@ -448,7 +472,7 @@ def to_grayscale(img: RasterImage) -> GrayImage:
     blue first: 0.587 + 0.114 is exactly 0.701 in binary64, so pure
     white maps to exactly 1.0, and adding red last is the same IEEE sum,
     since addition commutes. The tables (at most 2 MiB) are built on
-    each call and gathered _GRAY_BLOCK pixels at a time, so the result
+    each call and gathered _BLOCK pixels at a time, so the result
     is the only full-size array made.
     """
     p = img.pixels
@@ -465,9 +489,9 @@ def to_grayscale(img: RasterImage) -> GrayImage:
         terms = [(_LUMA_G * v, 1), (_LUMA_B * v, 2), (_LUMA_R * v, 0)]
     px = p.reshape(-1, p.shape[2])
     gray = np.empty(len(px))
-    for start in range(0, len(px), _GRAY_BLOCK):
-        block = px[start : start + _GRAY_BLOCK]
-        out = gray[start : start + _GRAY_BLOCK]
+    for start in range(0, len(px), _BLOCK):
+        block = px[start : start + _BLOCK]
+        out = gray[start : start + _BLOCK]
         for k, (table, c) in enumerate(terms):
             index = block[:, c].astype(np.intp)
             if alpha:

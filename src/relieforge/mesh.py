@@ -116,9 +116,12 @@ def face_normals(corners: np.ndarray) -> np.ndarray:
 
 
 def _sample_vertices(g: HeightGrid, samples: np.ndarray) -> np.ndarray:
-    """(x[c], y[r], h[r,c]) for the row-major sample indices r*cols + c."""
+    """(x[c], y[r], h[r,c]) for the row-major sample indices r*cols + c.
+
+    Heights are read at (r, c), so a strided view of them is not copied.
+    """
     r, c = np.divmod(samples, g.cols)
-    return np.column_stack([g.x[c], g.y[r], g.heights.ravel()[samples]])
+    return np.column_stack([g.x[c], g.y[r], g.heights[r, c]])
 
 
 def _rim_chains(rows: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
@@ -289,7 +292,7 @@ def close_solid(g: HeightGrid, base_z: float = 0.0) -> TriangleMesh:
     chains = _rim_chains(g.rows, cols)
     rim = np.sort(np.concatenate([chains[0], chains[1][1:-1]]))  # the chains share their ends
     index = np.searchsorted(kept, rim)
-    raised = heights.ravel()[rim] > base_z
+    raised = heights[np.divmod(rim, cols)] > base_z
     base = index.copy()
     base[raised] = len(kept) + np.arange(np.count_nonzero(raised))
     vertices = _sample_vertices(g, np.concatenate([kept, rim[raised]]))

@@ -8,6 +8,7 @@ and validated up front.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -126,7 +127,7 @@ class TransferFunction:
                 return seg.a * x + seg.b
         raise CoverageError(f"no segment matches {x!r}; function is malformed")
 
-    def evaluate_array(self, x: np.ndarray) -> np.ndarray:
+    def evaluate_array(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Vectorized evaluate, bitwise equal to the scalar path, in one pass.
 
         The segments tile [0, 1] in order, so x's segment is the first
@@ -134,27 +135,38 @@ class TransferFunction:
         x sits on that end and the end is open: a segment open at c is
         followed by one closed at c, a point segment [c,c] included.
         Each chosen segment is checked to contain its x, then gives
-        a*x + b. Points go _EVAL_BLOCK at a time, so the segment index and
-        the gathered bounds and coefficients take a few MiB at most.
+        a*x + b. Points go a band of rows (along x's first axis) at a
+        time, about _EVAL_BLOCK of them, read through x as it is, so a
+        strided view is never copied whole; the segment index and the
+        gathered bounds and coefficients take a few MiB at most.
+
+        Without ``out`` the result is a new array and x is left as it
+        was. Given ``out`` (float64, x's shape; x itself will do), the
+        result is written there and ``out`` is returned; if this raises,
+        ``out`` may be partly written.
         """
         x = np.asarray(x, dtype=np.float64)
+        if out is None:
+            out = np.empty(x.shape)
+        elif out.shape != x.shape or out.dtype != np.float64:
+            raise ValueError(f"out must be float64 of shape {x.shape}")
         if x.size and (x.min() < 0.0 or x.max() > 1.0):
             raise IntensityDomainError("intensities outside [0, 1]")
         lo, hi, lo_closed, hi_closed, a, b = (
             np.array([getattr(s, f) for s in self.segments])
             for f in ("lo", "hi", "lo_closed", "hi_closed", "a", "b")
         )
-        out = np.empty(x.shape)
-        flat_x, flat_out = x.reshape(-1), out.reshape(-1)
-        for start in range(0, len(flat_x), _EVAL_BLOCK):
-            xb = flat_x[start : start + _EVAL_BLOCK]
+        xs, outs = np.atleast_1d(x, out)
+        band = max(1, _EVAL_BLOCK // max(1, math.prod(xs.shape[1:])))
+        for start in range(0, len(xs), band):
+            xb = xs[start : start + band]
             # The last segment ends closed at 1.0, so only the others'
             # ends are searched; NaN lands past them and fails the check.
             k = np.searchsorted(hi[:-1], xb)
             k += (xb == hi[k]) & ~hi_closed[k]
             if not _inside(xb, lo[k], hi[k], lo_closed[k], hi_closed[k]).all():
                 raise CoverageError("some intensities match no segment; function is malformed")
-            ob = flat_out[start : start + _EVAL_BLOCK]
+            ob = outs[start : start + band]
             np.multiply(a[k], xb, out=ob)
             ob += b[k]
         return out
@@ -247,18 +259,27 @@ def serialize_transfer_spec(tf: TransferFunction) -> str:
     return "\n".join(lines) + "\n"
 
 
-def apply(tf: TransferFunction, img: GrayImage | ScalarGrid, scale: float) -> ScalarGrid:
+def apply(
+    tf: TransferFunction,
+    img: GrayImage | ScalarGrid,
+    scale: float,
+    out: np.ndarray | None = None,
+) -> ScalarGrid:
     """Map every intensity through ``tf`` and scale to millimeters.
 
     ``scale`` is the dimensionless multiplier applied after evaluation,
     so apply(tf, img, s) == s * apply(tf, img, 1) elementwise, exactly.
     Accepts a GrayImage or an already reoriented ScalarGrid of
-    intensities; the output has the same shape.
+    intensities, views included; the output has the same shape. Without
+    ``out`` the heights are a new array and ``img`` is left as it was;
+    given ``out`` (float64, the shape of ``img.values``, which may be
+    ``img.values`` itself), the heights are written into it in place
+    and the result shares it (see TransferFunction.evaluate_array).
     """
     if not scale > 0:
         raise ValueError(f"scale must be positive, got {scale!r}")
     # An overflow yields inf quietly; HeightGrid refuses non-finite heights.
-    heights = tf.evaluate_array(img.values)
+    heights = tf.evaluate_array(img.values, out=out)
     with np.errstate(over="ignore"):
         heights *= scale
     return ScalarGrid(heights)

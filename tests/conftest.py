@@ -1,5 +1,6 @@
-"""Shared fixtures: hand-built PGM/PNG bytes, the 4x4 logo stand-in and
-a loop oracle for the flat blocks whose inner samples close_solid hides.
+"""Shared fixtures: hand-built PGM/PNG bytes, the 4x4 logo stand-in, a
+loop oracle for the flat blocks whose inner samples close_solid hides,
+and a tracemalloc peak reading for memory bounds.
 
 The PNG builder here is written against the file-format documents, not
 against the package decoder, so decode tests check two independent
@@ -8,6 +9,7 @@ implementations against each other.
 
 import os
 import struct
+import tracemalloc
 import zlib
 from pathlib import Path
 
@@ -18,6 +20,16 @@ import pytest
 # processes the tests spawn import it from the same checkout.
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
+
+
+def traced_peak(fn, *args):
+    """Call fn(*args) under tracemalloc; return its result and peak bytes allocated."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def make_pgm(arr, maxval=255, ascii_format=False) -> bytes:

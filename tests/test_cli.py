@@ -6,7 +6,6 @@ import stat
 import subprocess
 import sys
 import threading
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +13,7 @@ import pytest
 from relieforge import cli
 from relieforge.mesh import TriangleMesh, close_solid
 
-from conftest import make_pgm, make_png
+from conftest import make_pgm, make_png, traced_peak
 
 CLI = [sys.executable, "-m", "relieforge"]
 
@@ -660,16 +659,28 @@ class TestPreview:
         blocks = rng.integers(0, 256, size=(height // 20, width // 20, 4), dtype=np.uint8)
         img = tmp_path / "logo.png"
         img.write_bytes(make_png(blocks.repeat(20, axis=0).repeat(20, axis=1), color_type=6))
-        tracemalloc.start()
-        try:
-            cli.preview(cli.PipelineConfig(str(img), str(tmp_path / "p.pgm")))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # The decode peaks in the unfilter, at 2.5 float64 grids: the
-        # scanlines, its padded buffer, the pixel positions and the codes.
-        # Gray and the transfer hold at most two grids at once.
+        _, peak = traced_peak(cli.preview, cli.PipelineConfig(str(img), str(tmp_path / "p.pgm")))
+        # The decode holds 1.5 float64 grids: the scanlines, its padded
+        # buffer and the codes. The peak is in gray, at 2.3 grids here:
+        # the codes, the gray grid and the lookup tables, which weigh
+        # more at this size. The transfer writes over the gray grid.
         assert peak < 3 * height * width * 8
+
+    @pytest.mark.parametrize("mirror_x", [False, True])
+    def test_peak_memory_codes_plus_one_float_grid(self, tmp_path, mirror_x):
+        # After the decode the run holds one float64 grid: the gray
+        # intensities, which the oriented grid views and the heights
+        # overwrite. The peak is in gray: the codes, that grid and the
+        # lookup tables.
+        height, width = 840, 2400
+        rng = np.random.default_rng(15)
+        blocks = rng.integers(0, 256, size=(height // 20, width // 20, 4), dtype=np.uint8)
+        pixels = blocks.repeat(20, axis=0).repeat(20, axis=1)
+        img = tmp_path / "logo.png"
+        img.write_bytes(make_png(pixels, color_type=6))
+        cfg = cli.PipelineConfig(str(img), str(tmp_path / "p.pgm"), mirror_x=mirror_x)
+        _, peak = traced_peak(cli.preview, cfg)
+        assert peak < pixels.nbytes + 8 * height * width + (4 << 20)
 
 
 class TestDeterminism:

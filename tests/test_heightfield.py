@@ -12,6 +12,7 @@ from relieforge.heightfield import (
     pad_border,
 )
 from relieforge.image_io import GrayImage
+from relieforge.transfer import apply, preset_jdrf
 
 
 class TestGridFromImage:
@@ -35,6 +36,19 @@ class TestGridFromImage:
         once = grid_from_image(GrayImage(values), mirror_x=mirror)
         twice = grid_from_image(GrayImage(once.values), mirror_x=mirror)
         assert np.array_equal(twice.values, values)
+
+    @pytest.mark.parametrize("mirror", [False, True])
+    def test_grid_is_a_view_of_the_image(self, mirror):
+        img = GrayImage(np.random.default_rng(3).uniform(size=(4, 5)))
+        assert np.shares_memory(grid_from_image(img, mirror_x=mirror).values, img.values)
+
+    @pytest.mark.parametrize("mirror", [False, True])
+    def test_apply_without_out_leaves_the_image_unchanged(self, mirror):
+        values = np.random.default_rng(5).uniform(size=(6, 5))
+        img = GrayImage(values.copy())
+        heights = apply(preset_jdrf(), grid_from_image(img, mirror_x=mirror), scale=4.0)
+        assert not np.shares_memory(heights.values, img.values)
+        assert np.array_equal(img.values.view(np.uint64), values.view(np.uint64))
 
 
 class TestPadBorder:

@@ -1,11 +1,15 @@
 import struct
 import time
-import tracemalloc
 import zlib
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from relieforge import image_io
 from relieforge.image_io import (
     PNG_SIGNATURE,
     GrayImage,
@@ -19,7 +23,7 @@ from relieforge.image_io import (
     to_grayscale,
 )
 
-from conftest import _chunk, make_pgm, make_png, make_png_filtered
+from conftest import _chunk, make_pgm, make_png, make_png_filtered, traced_peak
 from test_reference_equivalence import samples_reference, scanlines, unfilter_reference
 
 
@@ -115,12 +119,7 @@ class TestDecodePgm:
         start = time.perf_counter()
         img = decode_pgm(data)
         assert time.perf_counter() - start < 5.0
-        tracemalloc.start()
-        try:
-            decode_pgm(data)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(decode_pgm, data)
         assert peak < len(header)
         assert np.array_equal(img.samples[:, :, 0], [[0.0, 1.0]])
         with pytest.raises(PgmParseError, match="missing maxval") as e:
@@ -227,13 +226,12 @@ class TestDecodePng:
         data = (
             PNG_SIGNATURE + _chunk(b"IHDR", ihdr) + _chunk(b"IDAT", idat) + _chunk(b"IEND", b"")
         )
-        tracemalloc.start()
-        try:
+
+        def refused():
             with pytest.raises(PngParseError, match="has more than 2 bytes, expected 2"):
                 decode_png(data)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+
+        _, peak = traced_peak(refused)
         assert peak < 16 << 20
 
     def test_dimensions_beyond_inflate_bound(self):
@@ -283,15 +281,11 @@ class TestDecodePng:
         ]
         data = make_png_filtered(width, height, 6, rows)
         raw_size = width * height * 4
-        tracemalloc.start()
-        try:
-            samples = decode_png(data).samples
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # The decode peaks in the unfilter, at 10-16x the RGBA bytes here:
-        # its padded buffer, pixel positions and per-diagonal steps. The
-        # float64 samples and alpha derived afterwards take 8x.
+        samples, peak = traced_peak(lambda: decode_png(data).samples)
+        # The decode peaks in the unfilter, at 20-27x the RGBA bytes here,
+        # mostly per-diagonal bookkeeping: this shape has one diagonal per
+        # pixel, and their starts are held as intp arrays and as Python
+        # ints. The float64 samples and alpha derived afterwards take 8x.
         assert peak < 32 * raw_size
         raw = scanlines(rows)
         pixels = np.frombuffer(unfilter_reference(raw, width, height, 4), dtype=np.uint8)
@@ -381,3 +375,22 @@ class TestEncodePgm:
     def test_encode_is_p5(self):
         data = encode_pgm(GrayImage(np.zeros((2, 3))))
         assert data.startswith(b"P5\n3 2\n255\n")
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        arrays(
+            np.float64,
+            st.tuples(st.integers(1, 12), st.integers(1, 6)),
+            # Half steps k/510 are the ties rint rounds to even.
+            elements=st.one_of(st.floats(0.0, 1.0), st.integers(0, 510).map(lambda k: k / 510)),
+        ),
+        st.integers(1, 3),
+        st.booleans(),
+    )
+    def test_bands_of_views_match_whole_array_formula(self, values, band, mirror):
+        view = values[::-1, ::-1] if mirror else values[::-1]
+        img = GrayImage(view)
+        with mock.patch.object(image_io, "_BLOCK", band * img.width):
+            data = encode_pgm(img)
+        header = f"P5\n{img.width} {img.height}\n255\n".encode()
+        assert data == header + np.rint(view * 255).astype(np.uint8).tobytes()

@@ -1,5 +1,4 @@
 import io
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +19,7 @@ from relieforge.mesh import (
 )
 from relieforge.stl_io import read_stl, write_binary_stl
 
-from conftest import cells_outside, flat_blocks_reference, top_corners
+from conftest import cells_outside, flat_blocks_reference, top_corners, traced_peak
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -437,11 +436,6 @@ def test_validate_memory_is_bounded():
     # 3T edge keys, masks as long and one block's temporaries, 2.6 times
     # the mesh's own bytes here.
     mesh = close_solid(grid(np.random.default_rng(0).uniform(0.5, 3.0, size=(230, 230))))
-    tracemalloc.start()
-    try:
-        rep = validate(mesh)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    rep, peak = traced_peak(validate, mesh)
     assert rep.watertight and mesh.triangle_count == 107628
     assert peak < 3.5 * (mesh.vertices.nbytes + mesh.triangles.nbytes)

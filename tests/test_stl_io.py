@@ -1,7 +1,6 @@
 import io
 import struct
 import time
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +17,7 @@ from relieforge.stl_io import (
     write_binary_stl,
 )
 
+from conftest import traced_peak
 from test_reference_equivalence import parse_ascii_reference
 
 
@@ -321,12 +321,7 @@ class TestReadStl:
         buf = io.BytesIO()
         write_ascii_stl(close_solid(g), buf)
         data = buf.getvalue()
-        tracemalloc.start()
-        try:
-            mesh = read_stl(data)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        mesh, peak = traced_peak(read_stl, data)
         assert mesh.triangle_count == 46188 > 4 * stl_io._PARSE_CHUNK
         assert peak < 2 * len(data)
 
@@ -343,12 +338,7 @@ class TestReadStl:
         path = tmp_path / "solid.stl"
         path.write_bytes(data)
         del buf, data
-        tracemalloc.start()
-        try:
-            mesh = read_stl(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        mesh, peak = traced_peak(read_stl, path)
         assert mesh.triangle_count == 107628 > 3 * stl_io._CHUNK
         return mesh, peak
 

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,8 @@ from relieforge.transfer import (
     serialize_transfer_spec,
 )
 from relieforge.errors import LineParseError
+
+from test_reference_equivalence import assert_bitwise
 
 
 class TestPreset:
@@ -207,9 +211,8 @@ def probe_points(tf: TransferFunction, rng: np.random.Generator) -> np.ndarray:
 
 
 def assert_matches_scalar(tf: TransferFunction, xs: np.ndarray) -> None:
-    got = tf.evaluate_array(xs)
     expected = np.array([tf.evaluate(float(x)) for x in xs.ravel()]).reshape(xs.shape)
-    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+    assert_bitwise(tf.evaluate_array(xs), expected)
 
 
 class TestEvaluateArray:
@@ -231,6 +234,41 @@ class TestEvaluateArray:
     def test_nan_matches_no_segment(self):
         with pytest.raises(CoverageError):
             preset_jdrf().evaluate_array(np.array([0.5, np.nan]))
+
+    @settings(max_examples=100, deadline=None)
+    @given(tilings(), st.integers(1, 3), st.booleans(), st.floats(1e-3, 1e3), st.integers(0, 2**32 - 1))
+    def test_bands_of_views_bitwise_equal_to_scalar(self, tf, band, mirror, scale, seed):
+        # Bands of 1-3 rows through a flipped (and mirrored) view, as
+        # grid_from_image hands it on, with and without out=.
+        rng = np.random.default_rng(seed)
+        points = rng.permutation(probe_points(tf, rng))
+        width = 7
+        values = np.resize(points, (-(-len(points) // width), width))
+        oriented = (lambda v: v[::-1, ::-1]) if mirror else (lambda v: v[::-1])
+        view = oriented(values)
+        expected = np.array([tf.evaluate(float(x)) for x in view.ravel()]).reshape(view.shape)
+        scaled = scale * expected
+        untouched = values.copy()
+        with mock.patch.object(transfer, "_EVAL_BLOCK", band * width):
+            assert_bitwise(tf.evaluate_array(view), expected)
+            assert_bitwise(apply(tf, ScalarGrid(view), scale).values, scaled)
+            assert_bitwise(values, untouched)
+            out = np.empty(view.shape)
+            assert tf.evaluate_array(view, out=out) is out
+            assert_bitwise(out, expected)
+            in_place = oriented(values.copy())
+            assert tf.evaluate_array(in_place, out=in_place) is in_place
+            assert_bitwise(in_place, expected)
+            in_place = oriented(values.copy())
+            heights = apply(tf, ScalarGrid(in_place), scale, out=in_place).values
+            assert np.shares_memory(heights, in_place)
+            assert_bitwise(in_place, scaled)
+
+    def test_out_must_match_shape_and_dtype(self):
+        x = np.full((2, 3), 0.5)
+        for out in (np.empty((3, 2)), np.empty((2, 3), dtype=np.float32)):
+            with pytest.raises(ValueError, match="out must be float64"):
+                preset_jdrf().evaluate_array(x, out=out)
 
     @settings(max_examples=50, deadline=None)
     @given(tilings(), st.floats(1e-3, 1e3))
