@@ -33,10 +33,10 @@ __all__ = [
     "to_grayscale",
 ]
 
-# Pixels that the blockwise passes (the unfilter's scatter and gather,
-# gray's table reads, the PGM encode) handle at a time: the index and
-# float temporaries of one block take a few hundred KiB whatever the
-# image. A pass that works in bands of rows takes one row at least.
+# Pixels that the blockwise passes (gray's table reads, the PGM encode)
+# handle at a time: the index and float temporaries of one block take a
+# few hundred KiB whatever the image. A pass that works in bands of rows
+# takes one row at least.
 _BLOCK = 1 << 16
 
 # Rec. 601 luma weights, applied in this fixed order so that (1,1,1)
@@ -126,7 +126,7 @@ class GrayImage:
         v = np.asarray(self.values, dtype=np.float64)
         if v.ndim != 2 or v.shape[0] < 1 or v.shape[1] < 1:
             raise ValueError(f"values must be a nonempty 2-D array, got {v.shape}")
-        if v.size and (v.min() < 0.0 or v.max() > 1.0):
+        if not (v.min() >= 0.0 and v.max() <= 1.0):  # NaN fails both
             raise ValueError("values must lie in [0, 1]")
         self.values = v
 
@@ -287,33 +287,18 @@ def _paeth(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     return np.where((pa <= pb) & (pa <= pc), a, np.where(pb <= pc, b, c))
 
 
-def _diagonal_bases(height: int, width: int) -> tuple[np.ndarray, int]:
-    """Where each anti-diagonal of the padded pixel grid starts.
-
-    The (height+1) x (width+1) grid is stored diagonal after diagonal,
-    each in order of its row i, so cell (i, j) sits at base[i + j] + i.
-    Also returns the number of cells.
-    """
-    d = np.arange(height + width + 1)
-    lo = np.maximum(0, d - width)
-    size = np.minimum(height, d) - lo + 1
-    return np.cumsum(size) - size - lo, int(size.sum())
-
-
 def _unfilter(raw: bytes, width: int, height: int, nch: int) -> np.ndarray:
     """Undo the per-row scanline filters; returns (height, width, nch) uint8.
 
     Every filter predicts pixel (r, x) from its left (r, x-1), upper
     (r-1, x) and upper-left (r-1, x-1) neighbours, so all pixels on one
     anti-diagonal r + x = d depend only on diagonals d-1 and d-2 and are
-    decoded in one numpy step: height + width - 1 steps in all. The
-    zero-padded (height+1) x (width+1) pixel grid is laid out diagonal by
-    diagonal in one flat buffer, so each diagonal and each of its three
-    neighbour runs is a contiguous slice. The scanlines are scattered
-    into the buffer, and the codes gathered back out of it, one band of
-    rows at a time, with each band's positions computed from the
-    diagonals' bases as it goes. Beside the scanlines, the buffer and
-    the codes, it holds O(_BLOCK + width + height) bytes for any shape.
+    decoded in one numpy step: height + width - 1 steps in all. They are
+    decoded in place in the zero-padded (height+1) x (width+1) pixel
+    grid, stored row by row: cell (i, j) sits at i * (width+1) + j,
+    that is i * width + (i + j), so each diagonal, and each run of its
+    neighbours, is a slice with step width. Beside the scanlines, the
+    grid and the codes, it holds O(width + height) bytes for any shape.
     Predictors are computed in int16 and stored as uint8, which is the
     spec's sum modulo 256. A filter type above 4 is refused before any
     row is decoded.
@@ -326,54 +311,42 @@ def _unfilter(raw: bytes, width: int, height: int, nch: int) -> np.ndarray:
 
     # Padded cell (i, j) is image pixel (i-1, j-1); row 0 and column 0
     # are the zero pixels the filters see beyond the image edge. Whole
-    # pixels move as one nch-byte void item each.
-    base, cells = _diagonal_bases(height, width)
-    windows = np.lib.stride_tricks.sliding_window_view(base[2:], width)
-    band = max(1, _BLOCK // width)
-
-    def bands():
-        # Image row r's pixels sit at base[r + 2 : r + 2 + width] + r + 1.
-        for r in range(0, height, band):
-            rs = slice(r, min(r + band, height))
-            yield rs, windows[rs] + np.arange(rs.start + 1, rs.stop + 1)[:, None]
-
+    # pixels move as one nch-byte void item each, so a strided run is
+    # copied without a loop over its bytes.
+    padded = np.zeros((height + 1, width + 1, nch), dtype=np.uint8)
+    padded[1:, 1:] = rows[:, 1:].reshape(height, width, nch)
     pixel = np.dtype((np.void, nch))
-    flat = np.zeros(cells * nch, dtype=np.uint8)
-    stored, slots = rows[:, 1:].view(pixel), flat.view(pixel)
-    for rs, at in bands():
-        slots[at] = stored[rs]
-    buf = flat.reshape(-1, nch)
+    cells = padded.reshape(-1).view(pixel)
+
+    def run(start, n):
+        # The bytes of the n cells from `start` on, a diagonal's step apart.
+        return cells[start : start + n * width : width].copy().view(np.uint8)
 
     # Diagonal dd holds padded rows first .. last, image rows first-1 ..
-    # last-1. Their left neighbours start at `left` on diagonal dd-1, the
-    # upper ones a cell earlier, and the upper-left ones at `upleft` on
-    # dd-2. None, Sub, Up and Average are (wa*a + wb*b) >> 1 with per-row
-    # weights, and the Paeth rows are written over that.
-    paeth_rows = np.repeat(ftypes[:, None] == 4, nch, axis=1)
-    wa = np.repeat(np.array([0, 2, 0, 1, 0], dtype=np.int16)[ftypes][:, None], nch, axis=1)
-    wb = np.repeat(np.array([0, 0, 2, 1, 0], dtype=np.int16)[ftypes][:, None], nch, axis=1)
-    starts = base.tolist()  # Python ints index fastest
+    # last-1, from cell `at` on. On diagonal dd-1, the n+1 cells from
+    # row first-1 on are the upper neighbours (cells 0 .. n-1) and the
+    # left ones (cells 1 .. n); the upper-left ones are on dd-2. None,
+    # Sub, Up and Average are (wa*a + wb*b) >> 1 with per-row weights,
+    # and the Paeth rows are written over that.
+    paeth_rows = np.repeat(ftypes == 4, nch)
+    wa = np.repeat(np.array([0, 2, 0, 1, 0], dtype=np.int16)[ftypes], nch)
+    wb = np.repeat(np.array([0, 0, 2, 1, 0], dtype=np.int16)[ftypes], nch)
     for dd in range(2, height + width + 1):
         first = max(1, dd - width)
         n = min(height, dd - 1) - first + 1
-        at = starts[dd] + first
-        left = starts[dd - 1] + first
-        upleft = starts[dd - 2] + first - 1
-        row = first - 1
-        a = buf[left : left + n].astype(np.int16)
-        b = buf[left - 1 : left - 1 + n].astype(np.int16)
-        c = buf[upleft : upleft + n].astype(np.int16)
-        pred = a * wa[row : row + n]
-        pred += b * wb[row : row + n]
+        at = first * width + dd
+        span = slice((first - 1) * nch, (first - 1 + n) * nch)
+        near = run(at - width - 1, n + 1).astype(np.int16)
+        a, b = near[nch:], near[:-nch]
+        c = run(at - width - 2, n).astype(np.int16)
+        pred = a * wa[span]
+        pred += b * wb[span]
         pred >>= 1
-        np.copyto(pred, _paeth(a, b, c), where=paeth_rows[row : row + n])
-        cur = buf[at : at + n]
+        np.copyto(pred, _paeth(a, b, c), where=paeth_rows[span])
+        cur = run(at, n)
         np.add(cur, pred, out=cur, casting="unsafe")
-    codes = np.empty((height, width, nch), dtype=np.uint8)
-    decoded = codes.reshape(height, width * nch).view(pixel)
-    for rs, at in bands():
-        decoded[rs] = slots[at]
-    return codes
+        cells[at : at + n * width : width] = cur.view(pixel)
+    return np.ascontiguousarray(padded[1:, 1:])
 
 
 def decode_png(data: bytes) -> RasterImage:
@@ -381,8 +354,9 @@ def decode_png(data: bytes) -> RasterImage:
 
     Rows may use any of the five scanline filters. They are undone in a
     wavefront over the image's anti-diagonals, height + width - 1 numpy
-    steps in O(width * height) memory whatever the shape (see
-    _unfilter). The codes are returned as they are, alpha included;
+    steps in the zero-padded pixel grid, in O(width * height) memory
+    whatever the shape (see _unfilter). The codes are returned as they
+    are, alpha included;
     ``samples`` and to_grayscale composite alpha over white.
     Palette, 16-bit, and interlaced files raise PngUnsupportedError;
     structural damage (bad CRC, corrupt stream, unknown filter type)
@@ -463,25 +437,21 @@ def decode_png(data: bytes) -> RasterImage:
 def to_grayscale(img: RasterImage) -> GrayImage:
     """Collapse a RasterImage to intensities, bitwise equal to the luma of its samples.
 
-    One channel gives codes / maxval. Otherwise each color channel is
-    read through a table of its float64 luma term: luma_c * v/255 for
-    code v, or with alpha a, luma_c * (v/255 * a/255 + (1 - a/255))
-    indexed by (v << 8) | a; gray plus alpha has one table with luma 1.
-    The entries come from the same IEEE operations as ``samples``, and
-    RGB sums to Rec. 601 luma 0.299 R + (0.587 G + 0.114 B), green plus
-    blue first: 0.587 + 0.114 is exactly 0.701 in binary64, so pure
-    white maps to exactly 1.0, and adding red last is the same IEEE sum,
-    since addition commutes. The tables (at most 2 MiB) are built on
-    each call and gathered _BLOCK pixels at a time, so the result
-    is the only full-size array made.
+    Each color channel is read through a table of its float64 luma term:
+    luma_c * v/maxval for code v, or with alpha a (maxval is then 255),
+    luma_c * (v/255 * a/255 + (1 - a/255)) indexed by (v << 8) | a.
+    Gray, with or without alpha, has one table with luma 1; without
+    alpha it is codes / maxval. The entries come from the same IEEE
+    operations as ``samples``, and RGB sums to Rec. 601 luma
+    0.299 R + (0.587 G + 0.114 B), green plus blue first: 0.587 + 0.114
+    is exactly 0.701 in binary64, so pure white maps to exactly 1.0, and
+    adding red last is the same IEEE sum, since addition commutes. The
+    tables (at most 2 MiB) are built on each call and gathered _BLOCK
+    pixels at a time, so the result is the only full-size array made.
     """
     p = img.pixels
-    if p.shape[2] == 1:
-        gray = p[:, :, 0].astype(np.float64)
-        gray /= img.maxval
-        return GrayImage(gray)
     alpha = p.shape[2] in (2, 4)
-    v = np.arange(256) / 255.0
+    v = np.arange(img.maxval + 1) / img.maxval
     if alpha:
         v = (np.multiply.outer(v, v) + (1.0 - v)).reshape(-1)
     terms = [(v, 0)]

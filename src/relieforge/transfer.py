@@ -150,7 +150,7 @@ class TransferFunction:
             out = np.empty(x.shape)
         elif out.shape != x.shape or out.dtype != np.float64:
             raise ValueError(f"out must be float64 of shape {x.shape}")
-        if x.size and (x.min() < 0.0 or x.max() > 1.0):
+        if x.size and not (x.min() >= 0.0 and x.max() <= 1.0):  # NaN fails both
             raise IntensityDomainError("intensities outside [0, 1]")
         lo, hi, lo_closed, hi_closed, a, b = (
             np.array([getattr(s, f) for s in self.segments])
@@ -161,7 +161,7 @@ class TransferFunction:
         for start in range(0, len(xs), band):
             xb = xs[start : start + band]
             # The last segment ends closed at 1.0, so only the others'
-            # ends are searched; NaN lands past them and fails the check.
+            # ends are searched.
             k = np.searchsorted(hi[:-1], xb)
             k += (xb == hi[k]) & ~hi_closed[k]
             if not _inside(xb, lo[k], hi[k], lo_closed[k], hi_closed[k]).all():

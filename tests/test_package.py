@@ -1,3 +1,4 @@
+import ast
 import importlib
 import importlib.util
 import sys
@@ -10,6 +11,7 @@ import relieforge as rf
 from conftest import make_pgm, make_png
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+PACKAGE = Path(rf.__file__).resolve().parent
 
 
 def test_all_names_unique_and_resolve():
@@ -44,3 +46,30 @@ def test_traced_decode_counts_pixels(monkeypatch):
     pgm = make_pgm(np.zeros((2, 7), dtype=np.uint8))
     assert trace._counts("image_io.decode", (), rf.decode_png(png)) == {"px": 15}
     assert trace._counts("image_io.decode", (), rf.decode_pgm(pgm)) == {"px": 14}
+
+
+def test_every_private_module_name_is_read():
+    # A module-level _name that no other statement in the package reads
+    # is a leftover. A bare name counts in its own module; `module._name`
+    # and `from .module import _name` count from anywhere.
+    defined, read_in, read_anywhere = [], set(), set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for stmt in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                own = {stmt.name}
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                own = {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+            else:
+                own = set()
+            defined += [(path.name, n) for n in own if n.startswith("_") and not n.startswith("__")]
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id not in own:
+                    read_in.add((path.name, node.id))
+                elif isinstance(node, ast.Attribute) and node.attr not in own:
+                    read_anywhere.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    read_anywhere.add(node.name)
+    assert defined
+    unread = [f"{m}: {n}" for m, n in defined if (m, n) not in read_in and n not in read_anywhere]
+    assert unread == []

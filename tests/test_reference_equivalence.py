@@ -19,7 +19,6 @@ counts, bytes, samples, gray and errors."""
 
 import io
 import struct
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -781,36 +780,16 @@ def scanlines(rows) -> bytes:
 @given(filtered_scanlines())
 @example((12, 1, 4, [(1, bytes(range(48)))]))
 @example((1, 12, 3, [(k % 5, bytes([200, 100, 50])) for k in range(12)]))
+# Every filter type over step-width diagonals: one row of each, below a
+# row of another type.
+@example((2, 5, 4, [(k, bytes(range(37 * k, 37 * k + 8))) for k in range(5)]))
+@example((3, 5, 3, [(4 - k, bytes(range(255 - 41 * k, 246 - 41 * k, -1))) for k in range(5)]))
 def test_unfilter_matches_reference(case):
     width, height, nch, rows = case
     raw = scanlines(rows)
     got = image_io._unfilter(raw, width, height, nch)
     assert got.dtype == np.uint8 and got.shape == (height, width, nch)
     assert got.tobytes() == bytes(unfilter_reference(raw, width, height, nch))
-
-
-@st.composite
-def banded_scanlines(draw):
-    # Bands of 1-3 rows; a row of each filter type opens a band, so
-    # every type's reads of the row above cross a band edge.
-    band = draw(st.integers(1, 3))
-    width = draw(st.integers(1, 8))
-    nch = draw(st.integers(1, 4))
-    types = [draw(st.integers(0, 4)) for _ in range(draw(st.integers(5 * band + 1, 6 * band + 2)))]
-    for k, ftype in enumerate(draw(st.permutations(range(5))), start=1):
-        types[k * band] = ftype
-    stored = st.binary(min_size=width * nch, max_size=width * nch)
-    return band, width, nch, [(ftype, draw(stored)) for ftype in types]
-
-
-@SETTINGS
-@given(banded_scanlines())
-def test_unfilter_bands_match_reference(case):
-    band, width, nch, rows = case
-    raw = scanlines(rows)
-    with mock.patch.object(image_io, "_BLOCK", band * width):
-        got = image_io._unfilter(raw, width, len(rows), nch)
-    assert got.tobytes() == bytes(unfilter_reference(raw, width, len(rows), nch))
 
 
 @SETTINGS

@@ -231,9 +231,12 @@ class TestEvaluateArray:
         xs = np.resize(points, (3, transfer._EVAL_BLOCK // 2 + 1))
         assert_matches_scalar(tf, xs)
 
-    def test_nan_matches_no_segment(self):
-        with pytest.raises(CoverageError):
-            preset_jdrf().evaluate_array(np.array([0.5, np.nan]))
+    def test_nan_outside_the_domain(self):
+        tf = preset_jdrf()
+        with pytest.raises(IntensityDomainError):
+            tf.evaluate(float("nan"))
+        with pytest.raises(IntensityDomainError):
+            tf.evaluate_array(np.array([0.5, np.nan]))
 
     @settings(max_examples=100, deadline=None)
     @given(tilings(), st.integers(1, 3), st.booleans(), st.floats(1e-3, 1e3), st.integers(0, 2**32 - 1))
