@@ -44,8 +44,8 @@ __all__ = [
 #: below the derived area floor as degenerate.
 DEFAULT_MIN_FEATURE = 0.001
 
-# Triangles per block in validate and the STL writers, which bounds the
-# temporaries held at once.
+# Triangles per block in validate and the STL writers, and samples per
+# band in close_solid, which bounds the temporaries held at once.
 _CHUNK = 1 << 15
 
 
@@ -104,24 +104,43 @@ def _cross(a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]
 
 
+def _edge_cross(v0, v1, v2) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """(v1 - v0) x (v2 - v0) and its length, for corners given as their coordinate arrays.
+
+    Each corner is its x, y and z as three 1-D arrays. The operations
+    are the ones np.cross and np.linalg.norm apply to (n, 3) rows, so
+    the results are bit-equal to theirs.
+    """
+    cross = _cross([b - a for a, b in zip(v0, v1)], [c - a for a, c in zip(v0, v2)])
+    length = np.sqrt(cross[0] * cross[0] + cross[1] * cross[1] + cross[2] * cross[2])
+    return cross, length
+
+
 def face_normals(corners: np.ndarray) -> np.ndarray:
     """Unit normals by the right-hand rule over (T, 3, 3) corners.
 
     Zero-area triangles get a zero normal instead of NaN.
     """
-    v0 = corners[:, 0]
-    cross = np.cross(corners[:, 1] - v0, corners[:, 2] - v0)
-    norms = np.linalg.norm(cross, axis=1, keepdims=True)
-    return cross / np.where(norms == 0.0, 1.0, norms)
+    cross, length = _edge_cross(*(corners[:, k].T for k in range(3)))
+    length[length == 0.0] = 1.0
+    return np.stack(cross, axis=1) / length[:, None]
 
 
-def _sample_vertices(g: HeightGrid, samples: np.ndarray) -> np.ndarray:
-    """(x[c], y[r], h[r,c]) for the row-major sample indices r*cols + c.
+def _sample_vertices(g: HeightGrid, kept: np.ndarray, out: np.ndarray) -> None:
+    """Write (x[c], y[r], h[r,c]) of the samples a (rows, cols) mask keeps into ``out``.
 
-    Heights are read at (r, c), so a strided view of them is not copied.
+    The kept samples fill the rows of ``out`` in row-major order, read a
+    band of about _CHUNK samples at a time. Heights are read at (r, c),
+    so a strided view of them is not copied.
     """
-    r, c = np.divmod(samples, g.cols)
-    return np.column_stack([g.x[c], g.y[r], g.heights[r, c]])
+    band = max(1, _CHUNK // g.cols)
+    done = 0
+    for lo in range(0, g.rows, band):
+        r, c = np.nonzero(kept[lo : lo + band])
+        r += lo
+        rows = out[done : done + len(r)]
+        rows[:, 0], rows[:, 1], rows[:, 2] = g.x[c], g.y[r], g.heights[r, c]
+        done += len(r)
 
 
 def _rim_chains(rows: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
@@ -150,7 +169,7 @@ def _zipper(chain_a: np.ndarray, chain_b: np.ndarray) -> np.ndarray:
     return np.stack([a[k], b[k - 1], b[k], a[k], b[k], a[k + 1]], axis=1).reshape(-1, 3)
 
 
-def _top_triangles(kept: np.ndarray) -> np.ndarray:
+def _top_triangles(kept: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Zip each row of cells over the kept samples on its two grid lines.
 
     ``kept`` is a (rows, cols) mask with its first and last columns set;
@@ -161,21 +180,32 @@ def _top_triangles(kept: np.ndarray) -> np.ndarray:
     first. Triangles come by row, then column, the lower line's first. A
     cell whose corners A=(r,c), B=(r,c+1), C=(r+1,c), D=(r+1,c+1) are all
     kept thus splits into (A,B,D), (A,D,C), counter-clockwise seen from
-    +Z. With V samples kept, P of them on the rim, that makes 2V - P - 2.
+    +Z. With V samples kept, P of them on the rim, that makes 2V - P - 2,
+    one for each kept sample past column 0 on the lower and on the upper
+    line of a row: ``out`` is an int64 array of that many rows, filled
+    and returned. Rows of cells go a band of about _CHUNK samples at a
+    time, each numbered by one cumsum over its lines, so beside ``out``
+    only one band's indices are held.
     """
     cols = kept.shape[1]
-    # last[s] numbers the last kept sample up to s; column 0 is kept, so on s's line.
-    last = np.cumsum(kept.ravel()) - 1
-    # Slot 2 * cell + upper holds the triangle that the cell's corner B,
-    # or D if upper, adds to its row when kept; a is the cell's corner A.
-    slots = np.flatnonzero(np.stack([kept[:-1, 1:], kept[1:, 1:]], axis=-1))
-    cell, upper = slots >> 1, slots & 1
-    a = cell + cell // (cols - 1)
-    # One corner at a time into the result, which keeps the peak low.
-    tris = np.empty((len(a), 3), dtype=np.int64)
-    for k, corner in enumerate([a, a + upper * cols + 1, a + cols + 1 - upper]):
-        tris[:, k] = last[corner]
-    return tris
+    band = max(1, _CHUNK // cols)
+    done = before = 0  # rows of out filled; kept samples before the band's lines
+    for lo in range(0, kept.shape[0] - 1, band):
+        lines = kept[lo : lo + band + 1]
+        # last[s] numbers the last kept sample up to s; column 0 is kept, so on s's line.
+        last = np.cumsum(lines.ravel())
+        last += before - 1
+        # Slot 2 * cell + upper holds the triangle that the cell's corner B,
+        # or D if upper, adds to its row when kept; a is the cell's corner A.
+        slots = np.flatnonzero(np.stack([lines[:-1, 1:], lines[1:, 1:]], axis=-1))
+        cell, upper = slots >> 1, slots & 1
+        a = cell + cell // (cols - 1)
+        tris = out[done : done + len(a)]
+        for k, corner in enumerate([a, a + upper * cols + 1, a + cols + 1 - upper]):
+            tris[:, k] = last[corner]
+        done += len(a)
+        before += int(np.count_nonzero(lines[:-1]))
+    return out
 
 
 def _hidden_samples(heights: np.ndarray, base_z: float) -> np.ndarray:
@@ -212,8 +242,11 @@ def tessellate_top(g: HeightGrid) -> TriangleMesh:
     every sample kept splits each cell into two triangles in row-major
     order. Normals face +Z-ward.
     """
-    vertices = _sample_vertices(g, np.arange(g.rows * g.cols))
-    return TriangleMesh(vertices, _top_triangles(np.ones((g.rows, g.cols), dtype=bool)))
+    kept = np.ones((g.rows, g.cols), dtype=bool)
+    vertices = np.empty((kept.size, 3))
+    _sample_vertices(g, kept, vertices)
+    triangles = np.empty((2 * (g.rows - 1) * (g.cols - 1), 3), dtype=np.int64)
+    return TriangleMesh(vertices, _top_triangles(kept, triangles))
 
 
 def close_solid(g: HeightGrid, base_z: float = 0.0) -> TriangleMesh:
@@ -249,11 +282,17 @@ def close_solid(g: HeightGrid, base_z: float = 0.0) -> TriangleMesh:
     their own.
 
     Triangles come as top (row by row, see _top_triangles), then base,
-    then walls. With at least
-    one sample above base_z the result is watertight with outward
-    normals; where top samples lie on the base plane the top touches the
-    base. A grid with no sample above base_z has no volume and raises
-    GeometryError.
+    then walls. With at least one sample above base_z the result is
+    watertight with outward normals; where top samples lie on the base
+    plane the top touches the base. A grid with no sample above base_z
+    has no volume and raises GeometryError.
+
+    The top, base and wall counts are known from the rim and the mask of
+    kept samples before any top triangle is formed, so the triangles
+    fill one array allocated once, and the vertices another.
+    _top_triangles and _sample_vertices fill them a band of rows at a
+    time: beside the grid, close_solid holds the mesh it returns, a few
+    masks of one byte per sample and one band's temporaries.
 
     STL files store float32, so the solid must also stay as measured
     once its coordinates are narrowed: GeometryError refuses a grid
@@ -278,29 +317,29 @@ def close_solid(g: HeightGrid, base_z: float = 0.0) -> TriangleMesh:
         )
     if not heights.max() > base_z:
         raise GeometryError(f"every height lies on the base plane z={base_z}: no volume")
-    cols = g.cols
+    rows, cols = heights.shape
 
-    hidden = _hidden_samples(heights, base_z)
-    top_tris = _top_triangles(~hidden)
-
+    kept = ~_hidden_samples(heights, base_z)
     # Base and walls use only rim samples, which are never hidden. rim
-    # lists them in row-major order; index[i] is the vertex of rim[i] and
-    # base[i] its base corner: a vertex of its own, numbered after the top
-    # ones, where rim[i] stands above base_z, else index[i]. The chains a
-    # and b hold positions in rim.
-    kept = np.flatnonzero(~hidden)
-    chains = _rim_chains(g.rows, cols)
+    # lists them in row-major order: row 0, the first and last sample of
+    # each middle row, the last row. index[i] is the vertex of rim[i],
+    # read from the kept samples up to the end of each row, and base[i]
+    # its base corner: a vertex of its own, numbered after the top ones,
+    # where rim[i] stands above base_z, else index[i]. The chains a and b
+    # hold positions in rim.
+    ends = np.cumsum(np.count_nonzero(kept, axis=1))
+    count = int(ends[-1])  # kept samples, the top's vertices
+    chains = _rim_chains(rows, cols)
     rim = np.sort(np.concatenate([chains[0], chains[1][1:-1]]))  # the chains share their ends
-    index = np.searchsorted(kept, rim)
+    middle = np.stack([ends[:-2], ends[1:-1] - 1], axis=1).ravel()
+    index = np.concatenate([np.arange(cols), middle, ends[-2] + np.arange(cols)])
     raised = heights[np.divmod(rim, cols)] > base_z
     base = index.copy()
-    base[raised] = len(kept) + np.arange(np.count_nonzero(raised))
-    vertices = _sample_vertices(g, np.concatenate([kept, rim[raised]]))
-    vertices[len(kept):, 2] = base_z
+    base[raised] = count + np.arange(np.count_nonzero(raised))
 
     a, b = (np.searchsorted(rim, chain) for chain in chains)
     za, zb = (b, a) if cols == 2 else (a, b)
-    zipper = _zipper(za, zb)
+    zipper = base[_zipper(za, zb)]
     if cols == 2:
         zipper = zipper[:, ::-1]
 
@@ -314,9 +353,21 @@ def close_solid(g: HeightGrid, base_z: float = 0.0) -> TriangleMesh:
     bf, bt, it, i_f = base[f], base[t], index[t], index[f]
     wall_tris = np.stack([bf, bt, it, bf, it, i_f], axis=1).reshape(-1, 3)
     keep = np.stack([bt != it, bf != i_f], axis=1).ravel()
+    walls = wall_tris[keep]
 
-    triangles = np.vstack([top_tris, base[zipper], wall_tris[keep]])
-    skipped = len(keep) - int(np.count_nonzero(keep))
+    # Every count is known, so the triangles fill one array in place.
+    top = int(np.count_nonzero(kept[:-1, 1:])) + int(np.count_nonzero(kept[1:, 1:]))
+    triangles = np.empty((top + len(zipper) + len(walls), 3), dtype=np.int64)
+    _top_triangles(kept, triangles[:top])
+    triangles[top : top + len(zipper)] = zipper
+    triangles[top + len(zipper) :] = walls
+
+    vertices = np.empty((count + np.count_nonzero(raised), 3))
+    _sample_vertices(g, kept, vertices[:count])
+    r, c = np.divmod(rim[raised], cols)
+    corners = vertices[count:]
+    corners[:, 0], corners[:, 1], corners[:, 2] = g.x[c], g.y[r], base_z
+    skipped = len(keep) - len(walls)
     return TriangleMesh(vertices, triangles, degenerate_skipped=skipped)
 
 
@@ -324,17 +375,15 @@ def _block_geometry(columns, block, origin, moment) -> tuple[np.ndarray, float]:
     """The areas of a block of triangles, and six times their signed volume.
 
     Each corner's x, y and z are gathered from ``columns``, the column
-    views of the vertices; the edge vectors, cross products and lengths
-    are formed from those 1-D arrays with the operations np.cross and
-    np.linalg.norm use, so they are bit-equal to the (n, 3) forms. The
+    views of the vertices, and the areas come from those 1-D arrays
+    (see _edge_cross), bit-equal to the (n, 3) forms. The
     volume term is summed by einsum over v0 and v1 x v2 written row by
     row into the (n, 3) buffers ``origin`` and ``moment``, in the order
     an (n, 3) sum takes.
     """
     n = len(block)
     v0, v1, v2 = ([axis[block[:, k]] for axis in columns] for k in range(3))
-    cross = _cross([b - a for a, b in zip(v0, v1)], [c - a for a, c in zip(v0, v2)])
-    areas = 0.5 * np.sqrt(cross[0] * cross[0] + cross[1] * cross[1] + cross[2] * cross[2])
+    areas = 0.5 * _edge_cross(v0, v1, v2)[1]
     for k in range(3):
         origin[:n, k] = v0[k]
     for k, column in enumerate(_cross(v1, v2)):

@@ -36,7 +36,7 @@ from typing import BinaryIO, Iterable, Iterator, NoReturn
 import numpy as np
 
 from .errors import ByteParseError, LineParseError
-from .mesh import _CHUNK, TriangleMesh, face_normals
+from .mesh import _CHUNK, TriangleMesh, _edge_cross, face_normals
 
 __all__ = [
     "StlTruncationError",
@@ -60,8 +60,13 @@ class AsciiStlError(LineParseError):
     """ASCII STL that violates the solid/facet/loop grammar."""
 
 
-def _write_bytes(target, chunks: Iterable[bytes]) -> int:
-    """Write chunks in order to a path or binary file; returns bytes written."""
+def _write_bytes(target, chunks: Iterable[bytes | np.ndarray]) -> int:
+    """Write chunks in order to a path or binary file; returns bytes written.
+
+    A chunk is bytes or a 1-D uint8 array. Each is written before the
+    next is asked for, so a chunk may be a view of a buffer that the
+    next one overwrites.
+    """
     if not hasattr(target, "write"):
         with open(target, "wb") as fh:
             return _write_bytes(fh, chunks)
@@ -70,6 +75,39 @@ def _write_bytes(target, chunks: Iterable[bytes]) -> int:
         target.write(chunk)
         total += len(chunk)
     return total
+
+
+def _fill_facets(rows: np.ndarray, corners: list) -> None:
+    """Store the facets of triangles, given as their corners' coordinate arrays, in _RECORD rows.
+
+    Each normal is the edges' cross product over its length (see
+    mesh._edge_cross), zero for a zero-area triangle. Normals and
+    corners narrow from float64 to float32 as they are stored, so each
+    facet is bit-equal to face_normals and its corners narrowed whole.
+    """
+    cross, length = _edge_cross(*corners)
+    length[length == 0.0] = 1.0
+    for i in range(3):
+        rows["normal"][:, i] = cross[i] / length
+        for k in range(3):
+            rows["vertices"][:, k, i] = corners[k][i]
+
+
+def _record_bytes(mesh: TriangleMesh) -> Iterator[np.ndarray]:
+    """Blocks of up to _CHUNK binary records, as uint8 views of one buffer.
+
+    Each block overwrites the one before it, so a block must be used
+    before the next is asked for. Beside the buffer, a block's
+    temporaries are held only while it is filled (see _fill_facets).
+    """
+    records = np.zeros(min(_CHUNK, mesh.triangle_count), dtype=_RECORD)
+    columns = mesh.vertices.T
+    for lo in range(0, mesh.triangle_count, _CHUNK):
+        block = mesh.triangles[lo : lo + _CHUNK]
+        rows = records[: len(block)]
+        with np.errstate(over="ignore"):
+            _fill_facets(rows, [[axis[block[:, k]] for axis in columns] for k in range(3)])
+        yield rows.view(np.uint8)  # outside errstate, which must not leak to the caller
 
 
 def _facets(mesh: TriangleMesh) -> Iterator[np.ndarray]:
@@ -83,18 +121,15 @@ def _facets(mesh: TriangleMesh) -> Iterator[np.ndarray]:
 
 
 def write_binary_stl(mesh: TriangleMesh, target: str | PathLike | BinaryIO) -> int:
-    """Write the compact binary form; returns bytes written (84 + 50*T)."""
-    records = np.zeros(_CHUNK, dtype=_RECORD)
+    """Write the compact binary form; returns bytes written (84 + 50*T).
 
-    def blocks() -> Iterator[bytes]:
-        for facets in _facets(mesh):
-            n = len(facets)
-            records["normal"][:n] = facets[:, 0]
-            records["vertices"][:n] = facets[:, 1:]
-            yield records[:n].tobytes()
-
+    Each block of records goes to the file as a view of the one buffer
+    it is filled into (see _record_bytes), so beside the mesh the writer
+    holds that buffer and one block's temporaries, however many
+    triangles there are.
+    """
     header = BINARY_HEADER_TEXT.ljust(80, b"\x00") + struct.pack("<I", mesh.triangle_count)
-    return _write_bytes(target, itertools.chain([header], blocks()))
+    return _write_bytes(target, itertools.chain([header], _record_bytes(mesh)))
 
 
 # One facet of ASCII output: three normal and nine vertex slots.

@@ -9,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 from relieforge.errors import GeometryError
 from relieforge.heightfield import HeightGrid
 from relieforge.mesh import (
+    _CHUNK,
     InvertedSolidError,
     TriangleMesh,
     analytic_volume,
@@ -439,3 +440,19 @@ def test_validate_memory_is_bounded():
     rep, peak = traced_peak(validate, mesh)
     assert rep.watertight and mesh.triangle_count == 107628
     assert peak < 3.5 * (mesh.vertices.nbytes + mesh.triangles.nbytes)
+
+
+@pytest.mark.parametrize("side", [230, 460])
+def test_close_solid_memory_is_bounded(side):
+    # Beside the mesh it returns, close_solid holds masks of a few bytes
+    # per sample and one band's temporaries: a handful of int64 index
+    # arrays over the band's triangles, two a sample, under 96 bytes for
+    # each of a band's _CHUNK samples. _top_triangles forms them before
+    # the vertex array exists, so the peak over the mesh falls there
+    # when the vertices take fewer bytes than a band's temporaries, as
+    # at 230 (2.7 MiB), and in _sample_vertices otherwise, as at 460
+    # (1.8 MiB). A second copy of the triangles would not fit.
+    g = grid(np.random.default_rng(0).uniform(0.5, 3.0, size=(side, side)))
+    mesh, peak = traced_peak(close_solid, g)
+    assert mesh.triangle_count == 2 * (side - 1) ** 2 + (4 * side - 6) + 8 * (side - 1)
+    assert peak - (mesh.vertices.nbytes + mesh.triangles.nbytes) < 8 * side**2 + 96 * _CHUNK

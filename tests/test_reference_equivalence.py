@@ -466,6 +466,48 @@ def assert_geometry_exact(mesh: TriangleMesh) -> None:
     assert np.array_equal(face_normals(corners), normals_reference(corners))
 
 
+def blockwise_reference(mesh: TriangleMesh) -> tuple[float, float, int]:
+    """Area, volume and degenerate count from whole-block arrays, summed per _CHUNK.
+
+    Each block of _CHUNK triangles gathers its corners whole, as (n, 3)
+    rows, and adds one sum of its areas and one einsum of its volume
+    terms; validate forms the same terms coordinate by coordinate.
+    """
+    floor = DEFAULT_MIN_FEATURE * DEFAULT_MIN_FEATURE * 1e-6
+    area = volume6 = 0.0
+    degenerate = mesh.degenerate_skipped
+    for lo in range(0, mesh.triangle_count, mesh_module._CHUNK):
+        block = mesh.triangles[lo : lo + mesh_module._CHUNK]
+        v0, v1, v2 = (mesh.vertices[block[:, k]] for k in range(3))
+        areas = 0.5 * np.linalg.norm(np.cross(v1 - v0, v2 - v0), axis=1)
+        degenerate += int(np.count_nonzero(areas < floor))
+        area += float(areas.sum())
+        volume6 += float(np.einsum("ij,ij->", v0, np.cross(v1, v2)))
+    return area, volume6 / 6.0, degenerate
+
+
+# Triangle counts on either side of one and two blocks.
+_CHUNK = mesh_module._CHUNK
+BLOCK_EDGE_COUNTS = [n + d for n in (1, _CHUNK, 2 * _CHUNK) for d in (-1, 0, 1) if n + d > 0]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from(BLOCK_EDGE_COUNTS),
+    st.integers(3, 5000),
+    st.sampled_from([1.0, 1e-7, 1e6]),
+    st.integers(0, 2**32 - 1),
+)
+def test_validate_matches_whole_blocks(count, nv, spread, seed):
+    # Bit-identical, not approximate: validate's column-wise terms sum
+    # to the whole (n, 3) blocks' sums.
+    rng = np.random.default_rng(seed)
+    mesh = TriangleMesh(rng.normal(scale=spread, size=(nv, 3)), rng.integers(0, nv, (count, 3)))
+    rep = validate(mesh)
+    assert (rep.surface_area, rep.signed_volume, rep.degenerate_count) == blockwise_reference(mesh)
+    assert report_counts(mesh) == edge_counts_reference(mesh.triangles, nv)
+
+
 @SETTINGS
 @given(index_meshes(), st.sampled_from([1.0, 1e-7, 1e6]), st.integers(0, 2**32 - 1))
 def test_validate_geometry_is_exact(case, spread, seed):

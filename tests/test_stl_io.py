@@ -7,8 +7,8 @@ import pytest
 
 from relieforge.errors import ByteParseError
 from relieforge.heightfield import HeightGrid
-from relieforge import stl_io
-from relieforge.mesh import TriangleMesh, close_solid, face_normals, tessellate_top, validate
+from relieforge import cli, stl_io
+from relieforge.mesh import TriangleMesh, close_solid, tessellate_top, validate
 from relieforge.stl_io import (
     AsciiStlError,
     StlTruncationError,
@@ -30,6 +30,31 @@ def one_triangle():
         np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
         np.array([[0, 1, 2]]),
     )
+
+
+def random_mesh(count, seed=5):
+    # Every seventh triangle repeats a corner: zero area, a zero normal.
+    rng = np.random.default_rng(seed)
+    nv = max(count, 3)
+    triangles = rng.integers(0, nv, (count, 3))
+    triangles[::7, 1] = triangles[::7, 0]
+    return TriangleMesh(rng.uniform(-50.0, 50.0, (nv, 3)), triangles)
+
+
+def binary_reference(mesh) -> bytes:
+    """The binary STL of a mesh with every record built at once, then tobytes().
+
+    Normals come from np.cross and np.linalg.norm over (T, 3) rows.
+    """
+    corners = mesh.vertices[mesh.triangles]
+    cross = np.cross(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0])
+    norms = np.linalg.norm(cross, axis=1, keepdims=True)
+    record = np.dtype([("normal", "<f4", (3,)), ("vertices", "<f4", (3, 3)), ("attr", "<u2")])
+    records = np.zeros(len(corners), dtype=record)
+    records["normal"] = (cross / np.where(norms == 0.0, 1.0, norms)).astype(np.float32)
+    records["vertices"] = corners.astype(np.float32)
+    header = b"relieforge binary STL".ljust(80, b"\x00") + struct.pack("<I", len(corners))
+    return header + records.tobytes()
 
 
 def empty_mesh():
@@ -79,15 +104,44 @@ class TestWriteBinary:
         n = 2 * stl_io._CHUNK + 1
         rng = np.random.default_rng(5)
         mesh = TriangleMesh(rng.uniform(-50.0, 50.0, (n, 3)), rng.integers(0, n, (n, 3)))
-        corners = mesh.vertices[mesh.triangles]
-        record = np.dtype([("normal", "<f4", (3,)), ("vertices", "<f4", (3, 3)), ("attr", "<u2")])
-        records = np.zeros(n, dtype=record)
-        records["normal"] = face_normals(corners).astype(np.float32)
-        records["vertices"] = corners.astype(np.float32)
-        header = b"relieforge binary STL".ljust(80, b"\x00") + struct.pack("<I", n)
         buf = io.BytesIO()
         assert write_binary_stl(mesh, buf) == 84 + 50 * n
-        assert buf.getvalue() == header + records.tobytes()
+        assert buf.getvalue() == binary_reference(mesh)
+
+    @pytest.mark.parametrize(
+        "count", [0, 1, stl_io._CHUNK - 1, stl_io._CHUNK, stl_io._CHUNK + 1]
+    )
+    @pytest.mark.parametrize("target", ["path", "bytesio", "atomic"])
+    def test_reused_buffer_bytes_match_whole_records(self, tmp_path, count, target):
+        # Each block's records are filled into one reused buffer and the
+        # file is handed a view of it. Every target copies a chunk while
+        # write() runs, so a block read after the next one overwrote the
+        # buffer would show here as wrong bytes.
+        mesh = random_mesh(count)
+        path = tmp_path / "out.stl"
+        if target == "path":
+            assert write_binary_stl(mesh, path) == 84 + 50 * count
+        elif target == "bytesio":
+            buf = io.BytesIO()
+            assert write_binary_stl(mesh, buf) == 84 + 50 * count
+            path.write_bytes(buf.getvalue())
+        else:
+            cli._write_atomically(str(path), lambda fh: write_binary_stl(mesh, fh))
+        assert path.read_bytes() == binary_reference(mesh)
+
+    def test_binary_write_memory_is_bounded(self, tmp_path):
+        # Beside the mesh, the writer holds one block's record buffer (50
+        # bytes a triangle) and, while it fills a block, that block's
+        # float64 corners, edges, cross product and length (19 numbers,
+        # 152 bytes a triangle), however many blocks the mesh fills.
+        peaks = []
+        for count in (stl_io._CHUNK, 4 * stl_io._CHUNK):
+            written, peak = traced_peak(write_binary_stl, random_mesh(count), tmp_path / "m.stl")
+            assert written == 84 + 50 * count
+            peaks.append(peak)
+        record_buffer = stl_io._CHUNK * stl_io._RECORD.itemsize
+        assert abs(peaks[1] - peaks[0]) < record_buffer
+        assert max(peaks) < (50 + 152 + 8) * stl_io._CHUNK
 
 
 class TestWriteAscii:
