@@ -72,7 +72,8 @@ class PipelineConfig:
     """Everything one convert/preview run needs, with printable defaults.
 
     A run given neither ``preset`` nor ``transfer_path`` uses the
-    ``fallback_preset``; one given both is refused.
+    ``fallback_preset``; one given both is refused, and so is a nonzero
+    ``pad_value`` without ``pad``, which would build no border.
     """
 
     fallback_preset: ClassVar[str] = "jdrf-relief"
@@ -95,6 +96,8 @@ class PipelineConfig:
             self.preset = self.fallback_preset
         elif self.preset is not None and self.transfer_path is not None:
             raise ValueError("at most one of preset / transfer_path may be set")
+        if self.pad_value != 0 and not self.pad:
+            raise ValueError("pad_value is set but pad is not (--pad-value needs --pad)")
         if not self.scale > 0:
             raise ValueError(f"scale must be positive, got {self.scale}")
 
@@ -225,7 +228,7 @@ def _decode_image(path: str) -> image_io.GrayImage:
 
 def _load_transfer(cfg: PipelineConfig) -> transfer.TransferFunction:
     if cfg.transfer_path is not None:
-        text = _read_bytes(cfg.transfer_path).decode("utf-8", errors="replace")
+        text = _read_bytes(cfg.transfer_path).decode("utf-8-sig", errors="replace")
         return transfer.parse_transfer_spec(text, name=Path(cfg.transfer_path).name)
     try:
         return transfer.presets[cfg.preset]()
@@ -389,7 +392,7 @@ def _add_run_flags(p: argparse.ArgumentParser, output_kind: str) -> None:
         type=_finite_float,
         default=PipelineConfig.pad_value,
         metavar="MM",
-        help="height of the padding border (default %(default)s)",
+        help="height of the padding border; needs --pad (default %(default)s)",
     )
     p.add_argument(
         "--mirror-x", action="store_true", help="mirror left-to-right before shaping"
@@ -438,13 +441,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
-    given = vars(args)
-    return PipelineConfig(
-        **{f.name: given[f.name] for f in fields(PipelineConfig) if f.name in given}
-    )
-
-
 def _emit_report(report: RunReport, report_path: str | None) -> None:
     text = report.to_json()
     try:
@@ -470,11 +466,28 @@ def _summarize(verb: str, name: str, report: RunReport) -> None:
         print(f"{_PROG} {verb}: warning: {note}", file=sys.stderr)
 
 
+def _parse_args(argv: list[str] | None) -> tuple[argparse.Namespace, PipelineConfig | None]:
+    """The parsed flags, and for convert or preview the PipelineConfig they fill by name.
+
+    A config that PipelineConfig refuses is a usage error.
+    """
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "inspect":
+        return args, None
+    given = vars(args)
+    try:
+        return args, PipelineConfig(
+            **{f.name: given[f.name] for f in fields(PipelineConfig) if f.name in given}
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args, cfg = _parse_args(argv)
     try:
         if args.command == "convert":
-            cfg = _config_from_args(args)
             try:
                 report, rejected = convert(cfg), None
             except RejectedSolidError as exc:
@@ -494,7 +507,6 @@ def main(argv: list[str] | None = None) -> int:
                 return 4
             return 0
         if args.command == "preview":
-            cfg = _config_from_args(args)
             preview(cfg)
             print(f"{_PROG} preview: wrote {cfg.output_path}", file=sys.stderr)
             return 0

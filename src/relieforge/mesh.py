@@ -1,6 +1,6 @@
 """Heightfield tessellation, solidification, and mesh measurement.
 
-Every top surface is one row zip: each row of cells is triangulated
+The top surface is one row zip: each row of cells is triangulated
 between the samples kept on its two grid lines, so a cell with four kept
 corners splits along its (r,c)->(r+1,c+1) diagonal, in a fixed row-major
 order. close_solid hides the samples strictly inside flat aligned
@@ -34,7 +34,6 @@ __all__ = [
     "InvertedSolidError",
     "DEFAULT_MIN_FEATURE",
     "face_normals",
-    "tessellate_top",
     "close_solid",
     "validate",
     "analytic_volume",
@@ -99,11 +98,6 @@ class MeshReport:
     repeated_edge_count: int
 
 
-def _cross(a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """a x b for vectors given as their three coordinate arrays, as np.cross computes it."""
-    return a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]
-
-
 def _edge_cross(v0, v1, v2) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     """(v1 - v0) x (v2 - v0) and its length, for corners given as their coordinate arrays.
 
@@ -111,7 +105,10 @@ def _edge_cross(v0, v1, v2) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     are the ones np.cross and np.linalg.norm apply to (n, 3) rows, so
     the results are bit-equal to theirs.
     """
-    cross = _cross([b - a for a, b in zip(v0, v1)], [c - a for a, c in zip(v0, v2)])
+    a = [q - p for p, q in zip(v0, v1)]
+    b = [q - p for p, q in zip(v0, v2)]
+    cross = a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]
+    del a, b  # freed before the length allocates its temporaries
     length = np.sqrt(cross[0] * cross[0] + cross[1] * cross[1] + cross[2] * cross[2])
     return cross, length
 
@@ -233,20 +230,6 @@ def _hidden_samples(heights: np.ndarray, base_z: float) -> np.ndarray:
         down = hidden[: n * side, side // 2 : m * side : side].reshape(n, side, m)
         down[:, 1:] = flat[:, None]
     return hidden
-
-
-def tessellate_top(g: HeightGrid) -> TriangleMesh:
-    """Triangulate the height surface alone (open, not printable).
-
-    One vertex per sample at (x[c], y[r], h[r,c]); _top_triangles with
-    every sample kept splits each cell into two triangles in row-major
-    order. Normals face +Z-ward.
-    """
-    kept = np.ones((g.rows, g.cols), dtype=bool)
-    vertices = np.empty((kept.size, 3))
-    _sample_vertices(g, kept, vertices)
-    triangles = np.empty((2 * (g.rows - 1) * (g.cols - 1), 3), dtype=np.int64)
-    return TriangleMesh(vertices, _top_triangles(kept, triangles))
 
 
 def close_solid(g: HeightGrid, base_z: float = 0.0) -> TriangleMesh:
@@ -375,19 +358,21 @@ def _block_geometry(columns, block, origin, moment) -> tuple[np.ndarray, float]:
     """The areas of a block of triangles, and six times their signed volume.
 
     Each corner's x, y and z are gathered from ``columns``, the column
-    views of the vertices, and the areas come from those 1-D arrays
-    (see _edge_cross), bit-equal to the (n, 3) forms. The
-    volume term is summed by einsum over v0 and v1 x v2 written row by
-    row into the (n, 3) buffers ``origin`` and ``moment``, in the order
-    an (n, 3) sum takes.
+    views of the vertices, and both come from the one edge product
+    e = (v1 - v0) x (v2 - v0) of those 1-D arrays (see _edge_cross),
+    bit-equal to the (n, 3) forms: the area is |e| / 2, and the volume
+    term v0 . e, which equals v0 . (v1 x v2) but keeps its digits far
+    from the origin. v0 and e are written row by row into the (n, 3)
+    buffers ``origin`` and ``moment``, and einsum sums their products in
+    the order an (n, 3) sum takes.
     """
     n = len(block)
     v0, v1, v2 = ([axis[block[:, k]] for axis in columns] for k in range(3))
-    areas = 0.5 * _edge_cross(v0, v1, v2)[1]
+    cross, areas = _edge_cross(v0, v1, v2)
+    areas *= 0.5
     for k in range(3):
         origin[:n, k] = v0[k]
-    for k, column in enumerate(_cross(v1, v2)):
-        moment[:n, k] = column
+        moment[:n, k] = cross[k]
     return areas, float(np.einsum("ij,ij->", origin[:n], moment[:n]))
 
 
@@ -419,7 +404,7 @@ def validate(m: TriangleMesh) -> MeshReport:
     area = volume6 = 0.0
     degenerate = 0
     columns = m.vertices.T
-    # v0 and v1 x v2, row by row, for the volume term.
+    # v0 and (v1 - v0) x (v2 - v0), row by row, for the volume term.
     origin = np.empty((min(_CHUNK, tri_count), 3))
     moment = np.empty_like(origin)
     # Directed edges keyed (undirected edge, direction): runs of equal

@@ -1,6 +1,7 @@
-"""Shared fixtures: hand-built PGM/PNG bytes, the 4x4 logo stand-in, a
-loop oracle for the flat blocks whose inner samples close_solid hides,
-and a tracemalloc peak reading for memory bounds.
+"""Shared fixtures: hand-built PGM/PNG bytes, the 4x4 logo stand-in, an
+open top surface built by hand, a loop oracle for the flat blocks whose
+inner samples close_solid hides, and a tracemalloc peak reading for
+memory bounds.
 
 The PNG builder here is written against the file-format documents, not
 against the package decoder, so decode tests check two independent
@@ -15,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+
+from relieforge.mesh import TriangleMesh
 
 # pytest finds the package in src (pyproject's pythonpath); the CLI
 # processes the tests spawn import it from the same checkout.
@@ -101,6 +104,26 @@ def logo_pgm(tmp_path, logo_pgm_bytes):
     path = tmp_path / "logo.pgm"
     path.write_bytes(logo_pgm_bytes)
     return path
+
+
+def open_top(grid) -> TriangleMesh:
+    """The height surface of a grid alone, open, built by loops.
+
+    One vertex per sample at (x[c], y[r], h[r, c]), in row-major order.
+    Each cell, row-major, splits into (A,B,D), (A,D,C), where A=(r,c),
+    B=(r,c+1), C=(r+1,c) and D=(r+1,c+1): counter-clockwise seen from +Z.
+    """
+    rows, cols = grid.heights.shape
+    vertices = [
+        [grid.x[j], grid.y[i], grid.heights[i, j]] for i in range(rows) for j in range(cols)
+    ]
+    triangles = []
+    for i in range(rows - 1):
+        for j in range(cols - 1):
+            a = i * cols + j
+            b, c, d = a + 1, a + cols, a + cols + 1
+            triangles += [[a, b, d], [a, d, c]]
+    return TriangleMesh(vertices, triangles)
 
 
 def flat_blocks_reference(heights, base_z):

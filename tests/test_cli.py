@@ -11,9 +11,11 @@ import numpy as np
 import pytest
 
 from relieforge import cli
+from relieforge.heightfield import HeightGrid
 from relieforge.mesh import TriangleMesh, close_solid
+from relieforge.stl_io import write_binary_stl
 
-from conftest import make_pgm, make_png, traced_peak
+from conftest import make_pgm, make_png, open_top, traced_peak
 
 CLI = [sys.executable, "-m", "relieforge"]
 
@@ -102,6 +104,14 @@ class TestConvert:
         assert rep["transfer"] == "flat.tf"
         assert rep["bbox_mm"][1][2] == 2.0
         assert rep["volume_mm3"] == pytest.approx(80 * 28 * 2.0)
+
+    def test_transfer_file_with_byte_order_mark(self, tmp_path, logo_pgm):
+        tf_path = tmp_path / "bom.tf"
+        tf_path.write_bytes(b"\xef\xbb\xbf[0.0,1.0] => 2.0\n")
+        proc = run("convert", logo_pgm, "-o", tmp_path / "x.stl",
+                   "--transfer", tf_path, "--scale", 1)
+        assert proc.returncode == 0, proc.stderr
+        assert report_of(proc)["bbox_mm"][1][2] == 2.0
 
     def test_base_z(self, tmp_path, logo_pgm):
         proc = run("convert", logo_pgm, "-o", tmp_path / "x.stl", "--base-z", 0.5)
@@ -246,6 +256,13 @@ class TestExitCodes:
     def test_usage_negative_scale(self, tmp_path, logo_pgm):
         proc = run("convert", logo_pgm, "-o", tmp_path / "x.stl", "--scale", -1)
         assert_usage_line(proc, "argument --scale: must be positive, got -1")
+
+    @pytest.mark.parametrize("verb, suffix", [("convert", "stl"), ("preview", "pgm")])
+    def test_usage_pad_value_without_pad(self, tmp_path, logo_pgm, verb, suffix):
+        out = tmp_path / f"x.{suffix}"
+        proc = run(verb, logo_pgm, "-o", out, "--pad-value", "3")
+        assert_usage_line(proc, "--pad-value needs --pad")
+        assert not out.exists()
 
     def test_usage_unknown_command(self):
         assert_usage_line(run("bogus"), "invalid choice: 'bogus'")
@@ -416,9 +433,15 @@ class TestOptions:
         with pytest.raises(ValueError):
             cli.PipelineConfig("in.png", "out.stl", preset="jdrf-relief", transfer_path="t.tf")
 
+    @pytest.mark.parametrize("pad_value", [1.5, -1e-13])
+    def test_pad_value_without_pad_refused(self, pad_value):
+        with pytest.raises(ValueError, match="needs --pad"):
+            cli.PipelineConfig("in.png", "out.stl", pad_value=pad_value)
+        assert cli.PipelineConfig("in.png", "out.stl", pad_value=-0.0).pad_value == 0
+
     @staticmethod
     def parsed(*argv):
-        return cli._config_from_args(cli._build_parser().parse_args(list(argv)))
+        return cli._parse_args(list(argv))[1]
 
     @pytest.mark.parametrize("verb", ["convert", "preview"])
     def test_minimal_argv_gives_defaults(self, verb):
@@ -431,7 +454,7 @@ class TestOptions:
         (["--width-mm", "50"], "width_mm", 50.0),
         (["--depth-mm", "10"], "depth_mm", 10.0),
         (["--pad"], "pad", True),
-        (["--pad-value", "1.5"], "pad_value", 1.5),
+        (["--pad", "--pad-value", "1.5"], "pad_value", 1.5),
         (["--mirror-x"], "mirror_x", True),
     ]
 
@@ -446,7 +469,8 @@ class TestOptions:
     )
     def test_flag_sets_its_field(self, verb, flags, name, value):
         cfg = self.parsed(verb, "in.png", "-o", "out", *flags)
-        assert cfg == cli.PipelineConfig("in.png", "out", **{name: value})
+        also = {"pad": True} if name == "pad_value" else {}  # --pad-value needs --pad
+        assert cfg == cli.PipelineConfig("in.png", "out", **{name: value}, **also)
 
     def test_every_dest_names_a_field(self):
         fields = {f.name for f in dataclasses.fields(cli.PipelineConfig)}
@@ -525,11 +549,9 @@ class TestInspect:
         assert first["volume_mm3"] == second["volume_mm3"]
 
     def test_open_surface_fails(self, tmp_path):
-        import relieforge as rf
-
-        top = rf.tessellate_top(rf.HeightGrid.from_spacing(np.ones((3, 3))))
+        top = open_top(HeightGrid.from_spacing(np.ones((3, 3))))
         path = tmp_path / "open.stl"
-        rf.write_binary_stl(top, path)
+        write_binary_stl(top, path)
         proc = run("inspect", path)
         assert proc.returncode == 4
         assert report_of(proc)["watertight"] is False

@@ -15,12 +15,11 @@ from relieforge.mesh import (
     analytic_volume,
     close_solid,
     face_normals,
-    tessellate_top,
     validate,
 )
 from relieforge.stl_io import read_stl, write_binary_stl
 
-from conftest import cells_outside, flat_blocks_reference, top_corners, traced_peak
+from conftest import cells_outside, flat_blocks_reference, open_top, top_corners, traced_peak
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -29,43 +28,19 @@ def grid(heights, dx=1.0, dy=1.0):
     return HeightGrid.from_spacing(np.asarray(heights, dtype=float), dx=dx, dy=dy)
 
 
-class TestTessellateTop:
+class TestFaceNormals:
     def test_flat_cell(self):
-        m = tessellate_top(grid([[2.0, 2.0], [2.0, 2.0]]))
-        assert len(m.vertices) == 4 and m.triangle_count == 2
-        normals = face_normals(m.vertices[m.triangles])
+        a, b, c, d = [0.0, 0.0, 2.0], [1.0, 0.0, 2.0], [0.0, 1.0, 2.0], [1.0, 1.0, 2.0]
+        normals = face_normals(np.array([[a, b, d], [a, d, c]]))
         assert np.array_equal(normals, [[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
 
-    def test_counts_2x3(self):
-        m = tessellate_top(grid(np.zeros((2, 3))))
-        assert len(m.vertices) == 6 and m.triangle_count == 4
-
     def test_tilted_cell_normals(self):
-        # Hand-derived cross products for heights [[0,0],[0,1]]:
+        # Hand-derived cross products for a unit cell with D raised to 1:
         # (A,B,D) -> (0,-1,1)/sqrt2, (A,D,C) -> (-1,0,1)/sqrt2.
-        m = tessellate_top(grid([[0.0, 0.0], [0.0, 1.0]]))
-        normals = face_normals(m.vertices[m.triangles])
+        a, b, c, d = [0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 1.0]
+        normals = face_normals(np.array([[a, b, d], [a, d, c]]))
         assert normals[0] == pytest.approx([0.0, -INV_SQRT2, INV_SQRT2])
         assert normals[1] == pytest.approx([-INV_SQRT2, 0.0, INV_SQRT2])
-
-    def test_vertices_at_sample_positions(self):
-        g = grid([[1.0, 2.0], [3.0, 4.0]], dx=2.0, dy=5.0)
-        m = tessellate_top(g)
-        assert [2.0, 0.0, 2.0] in m.vertices.tolist()
-        assert [2.0, 5.0, 4.0] in m.vertices.tolist()
-
-    def test_open_surface_not_watertight(self):
-        rep = validate(tessellate_top(grid(np.ones((3, 4)))))
-        assert not rep.watertight
-        assert rep.boundary_edge_count > 0
-
-    def test_row_major_deterministic_order(self):
-        g = grid(np.arange(12, dtype=float).reshape(3, 4))
-        a = tessellate_top(g)
-        b = tessellate_top(g)
-        assert np.array_equal(a.triangles, b.triangles)
-        assert a.triangles[0].tolist() == [0, 1, 5]  # cell (0,0): A, B, D
-        assert a.triangles[1].tolist() == [0, 5, 4]  # cell (0,0): A, D, C
 
 
 class TestCloseSolid:
@@ -376,6 +351,12 @@ class TestValidate:
         assert np.array_equal(rep.bbox_min, [0.0, -5.0, 3.0])
         assert np.array_equal(rep.bbox_max, [4.0, 2.0, 9.0])
 
+    def test_open_surface_not_watertight(self):
+        rep = validate(open_top(grid(np.ones((3, 4)))))
+        assert not rep.watertight
+        assert rep.boundary_edge_count == 2 * (2 + 3)
+        assert rep.nonmanifold_edge_count == 0 and rep.repeated_edge_count == 0
+
     def test_duplicated_face_not_watertight(self):
         mesh = close_solid(grid([[3.0, 3.0], [3.0, 3.0]]))
         tris = np.vstack([mesh.triangles, mesh.triangles[:1]])
@@ -390,6 +371,24 @@ class TestValidate:
         assert b.signed_volume == pytest.approx(a.signed_volume, rel=1e-9)
         assert b.surface_area == pytest.approx(a.surface_area, rel=1e-9)
         assert not np.array_equal(a.bbox_min, b.bbox_min)
+
+    @pytest.mark.parametrize("offset", [1e2, 1e3, 1e4])
+    def test_volume_keeps_its_digits_far_from_the_origin(self, offset):
+        # The volume terms come from the edges' cross product, so moving
+        # the solid, base plane and all, away from the origin costs few
+        # digits: these grids miss by 2.6e-12 at 1e4 mm, where terms
+        # v0 . (v1 x v2) missed by 1.2e-6 and 1.0e-9 at 1e3 mm.
+        rng = np.random.default_rng(20260819)
+        for _ in range(20):
+            rows, cols = rng.integers(2, 41, size=2)
+            dx, dy = rng.uniform(0.1, 3.0, size=2)
+            g = HeightGrid(
+                offset + rng.uniform(0.01, 10.0, size=(rows, cols)),
+                offset + dx * np.arange(cols),
+                offset + dy * np.arange(rows),
+            )
+            volume = validate(close_solid(g, base_z=offset)).signed_volume
+            assert volume == pytest.approx(analytic_volume(g, base_z=offset), rel=1e-11)
 
     def test_positive_volume_for_outward_solid(self):
         rng = np.random.default_rng(8)

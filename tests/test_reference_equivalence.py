@@ -445,7 +445,7 @@ def geometry_reference(mesh: TriangleMesh) -> tuple[float, float, int]:
     """Area, volume and degenerate count from (n, 3) corner rows in one sum."""
     v0, v1, v2 = (mesh.vertices[mesh.triangles[:, k]] for k in range(3))
     areas = 0.5 * np.linalg.norm(np.cross(v1 - v0, v2 - v0), axis=1)
-    volume = float(np.einsum("ij,ij->", v0, np.cross(v1, v2))) / 6.0
+    volume = float(np.einsum("ij,ij->", v0, np.cross(v1 - v0, v2 - v0))) / 6.0
     floor = DEFAULT_MIN_FEATURE * DEFAULT_MIN_FEATURE * 1e-6
     degenerate = int(np.count_nonzero(areas < floor)) + mesh.degenerate_skipped
     return float(areas.sum()), volume, degenerate
@@ -482,7 +482,7 @@ def blockwise_reference(mesh: TriangleMesh) -> tuple[float, float, int]:
         areas = 0.5 * np.linalg.norm(np.cross(v1 - v0, v2 - v0), axis=1)
         degenerate += int(np.count_nonzero(areas < floor))
         area += float(areas.sum())
-        volume6 += float(np.einsum("ij,ij->", v0, np.cross(v1, v2)))
+        volume6 += float(np.einsum("ij,ij->", v0, np.cross(v1 - v0, v2 - v0)))
     return area, volume6 / 6.0, degenerate
 
 

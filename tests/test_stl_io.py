@@ -8,7 +8,7 @@ import pytest
 from relieforge.errors import ByteParseError
 from relieforge.heightfield import HeightGrid
 from relieforge import cli, stl_io
-from relieforge.mesh import TriangleMesh, close_solid, tessellate_top, validate
+from relieforge.mesh import TriangleMesh, close_solid, validate
 from relieforge.stl_io import (
     AsciiStlError,
     StlTruncationError,
@@ -17,7 +17,7 @@ from relieforge.stl_io import (
     write_binary_stl,
 )
 
-from conftest import traced_peak
+from conftest import open_top, traced_peak
 from test_reference_equivalence import parse_ascii_reference
 
 
@@ -83,7 +83,7 @@ class TestWriteBinary:
 
     def test_count_field_little_endian(self):
         buf = io.BytesIO()
-        mesh = tessellate_top(HeightGrid.from_spacing(np.ones((2, 2))))
+        mesh = open_top(HeightGrid.from_spacing(np.ones((2, 2))))
         write_binary_stl(mesh, buf)
         assert buf.getvalue()[80:84] == b"\x02\x00\x00\x00"
 
