@@ -34,6 +34,7 @@ import contextlib
 import json
 import math
 import os
+import re
 import stat
 import sys
 import time
@@ -400,7 +401,15 @@ def _add_run_flags(p: argparse.ArgumentParser, output_kind: str) -> None:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reports a usage error in one ``relieforge: usage:`` line, exit 2."""
+    """Reports a usage error in one ``relieforge: usage:`` line, exit 2.
+
+    A token such as ``-1e-3`` is a negative number, not a flag, exponent
+    included; subparsers are made of this class too.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?$")
 
     def error(self, message: str):
         self.exit(2, f"{_PROG}: usage: {' '.join(message.split())}\n")

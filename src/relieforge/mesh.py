@@ -9,14 +9,16 @@ base triangulated from the rim alone and perimeter walls, forming a
 watertight, outward-oriented solid. Output is deterministic, and since a
 block is flat, the cell-by-cell prism sum stays an exact volume oracle.
 Vertex identity comes from the grid indices, not from comparing
-coordinates: sample (r, c) is vertex r*cols + c before the hidden
-samples are dropped, and a rim sample has a base corner of its own only
-where it stands above the base plane, so a wall triangle collapses
-exactly when two of its corner indices coincide. close_solid refuses a
-grid whose vertices would merge, or whose heights above the base plane
-would round onto it, once narrowed to the float32 of an STL file, so
-every solid it returns is also watertight as written and no part of it
-flattens onto its base. validate measures any mesh without modifying it.
+coordinates: the kept samples are numbered in row-major order, the rim,
+kept whole, is one counter-clockwise ring of samples whose vertices
+follow from each row's kept count, and a rim sample has a base corner of
+its own, numbered in ring order, only where it stands above the base
+plane, so a wall triangle collapses exactly when two of its corner
+indices coincide. close_solid refuses a grid whose vertices would merge,
+or whose heights above the base plane would round onto it, once narrowed
+to the float32 of an STL file, so every solid it returns is also
+watertight as written and no part of it flattens onto its base. validate
+measures any mesh without modifying it.
 """
 
 from __future__ import annotations
@@ -123,43 +125,13 @@ def face_normals(corners: np.ndarray) -> np.ndarray:
     return np.stack(cross, axis=1) / length[:, None]
 
 
-def _sample_vertices(g: HeightGrid, kept: np.ndarray, out: np.ndarray) -> None:
-    """Write (x[c], y[r], h[r,c]) of the samples a (rows, cols) mask keeps into ``out``.
-
-    The kept samples fill the rows of ``out`` in row-major order, read a
-    band of about _CHUNK samples at a time. Heights are read at (r, c),
-    so a strided view of them is not copied.
-    """
-    band = max(1, _CHUNK // g.cols)
-    done = 0
-    for lo in range(0, g.rows, band):
-        r, c = np.nonzero(kept[lo : lo + band])
-        r += lo
-        rows = out[done : done + len(r)]
-        rows[:, 0], rows[:, 1], rows[:, 2] = g.x[c], g.y[r], g.heights[r, c]
-        done += len(r)
-
-
-def _rim_chains(rows: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
-    """The row-major sample indices of the two rim chains of a grid.
-
-    Both run from sample (0, 0) to (rows-1, cols-1): ``a`` along row 0
-    and then up the last column, ``b`` up column 0 and then along the
-    last row.
-    """
-    return (
-        np.concatenate([np.arange(cols), np.arange(2, rows + 1) * cols - 1]),
-        np.concatenate([np.arange(rows) * cols, (rows - 1) * cols + np.arange(1, cols)]),
-    )
-
-
 def _zipper(chain_a: np.ndarray, chain_b: np.ndarray) -> np.ndarray:
     """Triangulate the polygon bounded by two chains with common ends.
 
     Both chains have n edges. The strip (a[k], b[k-1], b[k]),
     (a[k], b[k], a[k+1]) for 1 <= k <= n-1 gives 2n - 2 triangles. With
-    the chains of _rim_chains over a grid they wind clockwise seen from
-    +Z.
+    ``a`` the first half of a grid's counter-clockwise rim and ``b`` the
+    rest, read back from its start, they wind clockwise seen from +Z.
     """
     a, b = chain_a, chain_b
     k = np.arange(1, len(a) - 1)
@@ -246,14 +218,16 @@ def close_solid(g: HeightGrid, base_z: float = 0.0) -> TriangleMesh:
     plane hide nothing: at a rim corner their chords would be the base's
     chords too.
 
-    The base at z = base_z triangulates the rim polygon alone by zipping
-    two rim chains that run from the SW to the NE corner: ``a`` along
-    the south row and up the east column, ``b`` up the west column and
-    along the north row. That gives 2(rows + cols) - 6 triangles facing
-    -Z. A rim sample's base corner is that same vertex where
-    h == base_z, and otherwise a vertex of its own, numbered after the
-    top ones in row-major order; interior samples have none. Walls join
-    the two rims along the same chains. A wall triangle with a repeated
+    The P rim samples form one counter-clockwise ring from the SW
+    corner: east along the south row, up the east column, west along the
+    north row, down the west column. The base at z = base_z triangulates
+    the rim polygon alone by zipping the ring's two halves, ``a`` to the
+    NE corner and ``b`` back from the SW corner the other way, into
+    2(rows + cols) - 6 triangles facing -Z. A rim sample's base corner is
+    that same vertex where h == base_z, and otherwise a vertex of its
+    own, numbered after the top ones in ring order; interior samples
+    have none. Walls join the two rims edge by edge, a's and then b's,
+    each chain's from the SW corner on. A wall triangle with a repeated
     corner index has zero height; those are left out by index alone and
     counted in ``degenerate_skipped``. Every other triangle is kept,
     however thin. With two columns the zipper would use the top's row
@@ -262,7 +236,8 @@ def close_solid(g: HeightGrid, base_z: float = 0.0) -> TriangleMesh:
 
     Vertices are found by grid index, not by coordinates: the kept
     samples come first in row-major order, then the base corners of
-    their own.
+    their own. Rim rows are kept whole, so a rim sample's vertex follows
+    from the kept count of each row.
 
     Triangles come as top (row by row, see _top_triangles), then base,
     then walls. With at least one sample above base_z the result is
@@ -272,10 +247,11 @@ def close_solid(g: HeightGrid, base_z: float = 0.0) -> TriangleMesh:
 
     The top, base and wall counts are known from the rim and the mask of
     kept samples before any top triangle is formed, so the triangles
-    fill one array allocated once, and the vertices another.
-    _top_triangles and _sample_vertices fill them a band of rows at a
-    time: beside the grid, close_solid holds the mesh it returns, a few
-    masks of one byte per sample and one band's temporaries.
+    fill one array allocated once, a band of rows at a time (see
+    _top_triangles), and the vertices another, one coordinate at a time:
+    beside the grid, close_solid holds the mesh it returns, a few masks
+    of one byte per sample, one band's temporaries and one coordinate
+    of the kept samples.
 
     STL files store float32, so the solid must also stay as measured
     once its coordinates are narrowed: GeometryError refuses a grid
@@ -303,53 +279,55 @@ def close_solid(g: HeightGrid, base_z: float = 0.0) -> TriangleMesh:
     rows, cols = heights.shape
 
     kept = ~_hidden_samples(heights, base_z)
-    # Base and walls use only rim samples, which are never hidden. rim
-    # lists them in row-major order: row 0, the first and last sample of
-    # each middle row, the last row. index[i] is the vertex of rim[i],
-    # read from the kept samples up to the end of each row, and base[i]
-    # its base corner: a vertex of its own, numbered after the top ones,
-    # where rim[i] stands above base_z, else index[i]. The chains a and b
-    # hold positions in rim.
-    ends = np.cumsum(np.count_nonzero(kept, axis=1))
+    counts = np.count_nonzero(kept, axis=1)
+    ends = np.cumsum(counts)
     count = int(ends[-1])  # kept samples, the top's vertices
-    chains = _rim_chains(rows, cols)
-    rim = np.sort(np.concatenate([chains[0], chains[1][1:-1]]))  # the chains share their ends
-    middle = np.stack([ends[:-2], ends[1:-1] - 1], axis=1).ravel()
-    index = np.concatenate([np.arange(cols), middle, ends[-2] + np.arange(cols)])
-    raised = heights[np.divmod(rim, cols)] > base_z
+    # ring lists the rim samples counter-clockwise seen from +Z: east
+    # along row 0, up the last column, west along the last row, down
+    # column 0. Rim rows are kept whole, so index[i], the vertex of
+    # ring[i], follows from its row's kept count; base[i] is its base
+    # corner, a vertex of its own where ring[i] stands above base_z.
+    ring = np.concatenate(
+        [np.arange(cols), np.arange(2, rows + 1) * cols - 1]
+        + [np.arange(rows * cols - 2, (rows - 1) * cols - 1, -1), np.arange(rows - 2, 0, -1) * cols]
+    )
+    r, c = np.divmod(ring, cols)
+    index = np.where(c == cols - 1, ends[r] - 1, ends[r] - counts[r] + c)
+    raised = heights[r, c] > base_z
     base = index.copy()
     base[raised] = count + np.arange(np.count_nonzero(raised))
 
-    a, b = (np.searchsorted(rim, chain) for chain in chains)
-    za, zb = (b, a) if cols == 2 else (a, b)
-    zipper = base[_zipper(za, zb)]
-    if cols == 2:
-        zipper = zipper[:, ::-1]
+    # The base zips the ring's halves from its SW to its NE corner.
+    half = rows + cols - 1
+    a, b = base[:half], np.r_[base[0], base[: half - 2 : -1]]
+    zipper = _zipper(b, a)[:, ::-1] if cols == 2 else _zipper(a, b)
 
-    # Walls: two triangles per rim edge from rim[f] to rim[t]. The
-    # edges run counter-clockwise seen from +Z, and the triangles are wound
-    # so normals face away from the footprint. (base[f], base[t], t)
-    # collapses where t has no base corner of its own, and (base[f], t, f)
-    # where f has none.
-    f = np.concatenate([a[:-1], b[1:]])
-    t = np.concatenate([a[1:], b[:-1]])
+    # Walls: two triangles per rim edge from ring[f] to ring[t], a's
+    # edges, then b's, each from the SW corner on, wound so normals face
+    # away from the footprint. (base[f], base[t], t) collapses where t
+    # has no base corner of its own, and (base[f], t, f) where f has none.
+    P = len(ring)
+    f = np.r_[: half - 1, P - 1 : half - 2 : -1]
+    t = (f + 1) % P
     bf, bt, it, i_f = base[f], base[t], index[t], index[f]
     wall_tris = np.stack([bf, bt, it, bf, it, i_f], axis=1).reshape(-1, 3)
     keep = np.stack([bt != it, bf != i_f], axis=1).ravel()
     walls = wall_tris[keep]
 
     # Every count is known, so the triangles fill one array in place.
-    top = int(np.count_nonzero(kept[:-1, 1:])) + int(np.count_nonzero(kept[1:, 1:]))
+    top = 2 * count - P - 2
     triangles = np.empty((top + len(zipper) + len(walls), 3), dtype=np.int64)
     _top_triangles(kept, triangles[:top])
     triangles[top : top + len(zipper)] = zipper
     triangles[top + len(zipper) :] = walls
 
+    # The kept samples come row-major, like np.nonzero, one coordinate at a time.
     vertices = np.empty((count + np.count_nonzero(raised), 3))
-    _sample_vertices(g, kept, vertices[:count])
-    r, c = np.divmod(rim[raised], cols)
+    vertices[:count, 0] = np.broadcast_to(g.x, heights.shape)[kept]
+    vertices[:count, 1] = np.broadcast_to(g.y[:, None], heights.shape)[kept]
+    vertices[:count, 2] = heights[kept]
     corners = vertices[count:]
-    corners[:, 0], corners[:, 1], corners[:, 2] = g.x[c], g.y[r], base_z
+    corners[:, 0], corners[:, 1], corners[:, 2] = g.x[c[raised]], g.y[r[raised]], base_z
     skipped = len(keep) - len(walls)
     return TriangleMesh(vertices, triangles, degenerate_skipped=skipped)
 

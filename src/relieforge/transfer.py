@@ -68,6 +68,8 @@ class Segment:
             raise ValueError(f"segment bounds out of order: {self.interval()}")
         if self.lo == self.hi and not (self.lo_closed and self.hi_closed):
             raise ValueError(f"degenerate open segment: {self.interval()}")
+        if not (math.isfinite(self.a) and math.isfinite(self.b)):
+            raise ValueError(f"coefficients must be finite: a={self.a!r}, b={self.b!r}")
 
     def contains(self, x: float | np.ndarray) -> bool | np.ndarray:
         """Whether x lies in the interval, elementwise for an array."""
@@ -158,17 +160,19 @@ class TransferFunction:
         )
         xs, outs = np.atleast_1d(x, out)
         band = max(1, _EVAL_BLOCK // max(1, math.prod(xs.shape[1:])))
-        for start in range(0, len(xs), band):
-            xb = xs[start : start + band]
-            # The last segment ends closed at 1.0, so only the others'
-            # ends are searched.
-            k = np.searchsorted(hi[:-1], xb)
-            k += (xb == hi[k]) & ~hi_closed[k]
-            if not _inside(xb, lo[k], hi[k], lo_closed[k], hi_closed[k]).all():
-                raise CoverageError("some intensities match no segment; function is malformed")
-            ob = outs[start : start + band]
-            np.multiply(a[k], xb, out=ob)
-            ob += b[k]
+        # An overflow yields inf quietly; HeightGrid refuses non-finite heights.
+        with np.errstate(over="ignore"):
+            for start in range(0, len(xs), band):
+                xb = xs[start : start + band]
+                # The last segment ends closed at 1.0, so only the others'
+                # ends are searched.
+                k = np.searchsorted(hi[:-1], xb)
+                k += (xb == hi[k]) & ~hi_closed[k]
+                if not _inside(xb, lo[k], hi[k], lo_closed[k], hi_closed[k]).all():
+                    raise CoverageError("some intensities match no segment; function is malformed")
+                ob = outs[start : start + band]
+                np.multiply(a[k], xb, out=ob)
+                ob += b[k]
         return out
 
     def __eq__(self, other) -> bool:

@@ -1,7 +1,7 @@
 """Shared fixtures: hand-built PGM/PNG bytes, the 4x4 logo stand-in, an
-open top surface built by hand, a loop oracle for the flat blocks whose
-inner samples close_solid hides, and a tracemalloc peak reading for
-memory bounds.
+open top surface built by hand, loop oracles for the flat blocks whose
+inner samples close_solid hides and for its base and walls, and a
+tracemalloc peak reading for memory bounds.
 
 The PNG builder here is written against the file-format documents, not
 against the package decoder, so decode tests check two independent
@@ -20,9 +20,11 @@ import pytest
 from relieforge.mesh import TriangleMesh
 
 # pytest finds the package in src (pyproject's pythonpath); the CLI
-# processes the tests spawn import it from the same checkout.
+# processes the tests spawn import it from the same checkout, and treat
+# warnings as errors, as pyproject's filterwarnings does in process.
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
+os.environ["PYTHONWARNINGS"] = "error"
 
 
 def traced_peak(fn, *args):
@@ -179,3 +181,43 @@ def top_corners(mesh, blocks, hidden):
     for br, bc, side in blocks:
         inside |= np.all((r >= br) & (r <= br + side) & (c >= bc) & (c <= bc + side), axis=1)
     return r, c, inside
+
+
+def rim_reference(grid, base_z):
+    """close_solid's base and walls, listed by grid position with loops.
+
+    Two rim chains run from the SW sample to the NE one: ``a`` along row
+    0 and up the last column, ``b`` up column 0 and along the last row.
+    The base at base_z zips them, (a[k], b[k-1], b[k]), (a[k], b[k],
+    a[k+1]) for 1 <= k <= n-2, over n samples a chain; with two columns
+    a and b trade places and each triangle is wound the other way. The
+    walls take a's edges, then b's, each chain's from the SW sample on
+    and run counter-clockwise. An edge from f to t gives (base f, base
+    t, top t), left out where t lies on the base plane, and (base f,
+    top t, top f), left out where f does. Returns both lists of
+    triangles as (n, 3, 3) corner coordinates.
+    """
+    rows, cols = grid.heights.shape
+    a = [(0, c) for c in range(cols)] + [(r, cols - 1) for r in range(1, rows)]
+    b = [(r, 0) for r in range(rows)] + [(rows - 1, c) for c in range(1, cols)]
+
+    def top(p):
+        return [grid.x[p[1]], grid.y[p[0]], grid.heights[p]]
+
+    def base(p):
+        return [grid.x[p[1]], grid.y[p[0]], base_z]
+
+    za, zb = (b, a) if cols == 2 else (a, b)
+    floor = []
+    for k in range(1, len(a) - 1):
+        for tri in ([za[k], zb[k - 1], zb[k]], [za[k], zb[k], za[k + 1]]):
+            floor.append([base(p) for p in (tri[::-1] if cols == 2 else tri)])
+    edges = [(a[k], a[k + 1]) for k in range(len(a) - 1)]
+    edges += [(b[k + 1], b[k]) for k in range(len(b) - 1)]
+    walls = []
+    for f, t in edges:
+        if grid.heights[t] != base_z:
+            walls.append([base(f), base(t), top(t)])
+        if grid.heights[f] != base_z:
+            walls.append([base(f), top(t), top(f)])
+    return np.array(floor), np.array(walls).reshape(-1, 3, 3)

@@ -299,6 +299,30 @@ class TestExitCodes:
         assert proc.returncode == 4
         assert proc.stderr == "relieforge: geometry: heights must be finite\n"
 
+    @pytest.mark.parametrize("verb, suffix", [("convert", "stl"), ("preview", "pgm")])
+    @pytest.mark.parametrize(
+        "spec, code, line",
+        [
+            (
+                "[0,1] => 1e400*x\n",
+                3,
+                "relieforge: input-parse: line 1: coefficients must be finite: a=inf, b=0.0\n",
+            ),
+            ("[0,1] => 1e308*x + 1e308\n", 4, "relieforge: geometry: heights must be finite\n"),
+        ],
+        ids=["inf-slope", "overflowing-sum"],
+    )
+    def test_overflowing_transfer_coefficients(
+        self, tmp_path, logo_pgm, verb, suffix, spec, code, line
+    ):
+        tf_path = tmp_path / "huge.tf"
+        tf_path.write_text(spec)
+        out = tmp_path / f"x.{suffix}"
+        proc = run(verb, logo_pgm, "--transfer", tf_path, "-o", out)
+        assert proc.returncode == code
+        assert proc.stderr == line
+        assert not out.exists()
+
     @pytest.mark.parametrize("pad", [[], ["--pad"]])
     def test_geometry_no_volume(self, tmp_path, logo_pgm, pad):
         tf_path = tmp_path / "zero.tf"
@@ -471,6 +495,19 @@ class TestOptions:
         cfg = self.parsed(verb, "in.png", "-o", "out", *flags)
         also = {"pad": True} if name == "pad_value" else {}  # --pad-value needs --pad
         assert cfg == cli.PipelineConfig("in.png", "out", **{name: value}, **also)
+
+    @pytest.mark.parametrize("token, value", [("-1e-3", -1e-3), ("-2E1", -20.0), ("-.5e1", -5.0)])
+    @pytest.mark.parametrize(
+        "verb, flags, name",
+        [
+            ("convert", ["--pad", "--pad-value"], "pad_value"),
+            ("preview", ["--pad", "--pad-value"], "pad_value"),
+            ("convert", ["--base-z"], "base_z"),
+        ],
+    )
+    def test_negative_number_with_exponent(self, verb, flags, name, token, value):
+        cfg = self.parsed(verb, "in.png", "-o", "out", *flags, token)
+        assert getattr(cfg, name) == value
 
     def test_every_dest_names_a_field(self):
         fields = {f.name for f in dataclasses.fields(cli.PipelineConfig)}

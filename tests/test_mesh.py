@@ -2,7 +2,7 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -19,7 +19,14 @@ from relieforge.mesh import (
 )
 from relieforge.stl_io import read_stl, write_binary_stl
 
-from conftest import cells_outside, flat_blocks_reference, open_top, top_corners, traced_peak
+from conftest import (
+    cells_outside,
+    flat_blocks_reference,
+    open_top,
+    rim_reference,
+    top_corners,
+    traced_peak,
+)
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -265,6 +272,33 @@ def test_close_solid_counts_and_closure(case):
 
 
 @st.composite
+def rim_grids(draw):
+    """Plateau grids whose rim may lie wholly on the base plane."""
+    g, base_z = draw(plateau_grids())
+    if draw(st.booleans()):
+        heights = g.heights.copy()
+        heights[[0, -1]] = heights[:, [0, -1]] = base_z
+        assume(heights.max() > base_z)
+        g = HeightGrid(heights, g.x, g.y)
+    return g, base_z
+
+
+@settings(max_examples=200, deadline=None)
+@given(rim_grids())
+@example((grid([[1.0, 2.0], [0.0, 1.0], [2.5, 0.0]]), 0.0))
+@example((grid([[0.75, 1.0, 0.75, 2.0], [1.0, 0.75, 3.0, 0.75]]), 0.75))
+def test_base_and_walls_match_loop_reference(case):
+    # The STL bytes follow the triangle order, so the base and walls are
+    # pinned corner by corner, in order and winding.
+    g, base_z = case
+    mesh = close_solid(g, base_z=base_z)
+    floor, walls = rim_reference(g, base_z)
+    corners = mesh.vertices[mesh.triangles[-len(floor) - len(walls) :]]
+    assert np.array_equal(corners[: len(floor)], floor)
+    assert np.array_equal(corners[len(floor) :], walls)
+
+
+@st.composite
 def flat_region_grids(draw):
     """Grids of wide plateaus: a coarse level map blown up by a tile side,
     shifted against the quadtree, with a few single-sample specks."""
@@ -449,8 +483,9 @@ def test_close_solid_memory_is_bounded(side):
     # each of a band's _CHUNK samples. _top_triangles forms them before
     # the vertex array exists, so the peak over the mesh falls there
     # when the vertices take fewer bytes than a band's temporaries, as
-    # at 230 (2.7 MiB), and in _sample_vertices otherwise, as at 460
-    # (1.8 MiB). A second copy of the triangles would not fit.
+    # at 230 (2.7 MiB), and otherwise where the vertices are filled, one
+    # coordinate of the kept samples at a time, as at 460 (2.2 MiB). A
+    # second copy of the triangles would not fit.
     g = grid(np.random.default_rng(0).uniform(0.5, 3.0, size=(side, side)))
     mesh, peak = traced_peak(close_solid, g)
     assert mesh.triangle_count == 2 * (side - 1) ** 2 + (4 * side - 6) + 8 * (side - 1)

@@ -61,6 +61,11 @@ class TestSegment:
         with pytest.raises(ValueError):
             Segment(0.0, 1.5, lo_closed=True, hi_closed=True, a=0.0, b=1.0)
 
+    @pytest.mark.parametrize("a, b", [(np.inf, 0.0), (0.0, -np.inf), (1.0, np.nan)])
+    def test_nonfinite_coefficients_rejected(self, a, b):
+        with pytest.raises(ValueError, match="coefficients must be finite"):
+            Segment(0.0, 1.0, lo_closed=True, hi_closed=True, a=a, b=b)
+
     def test_contains_respects_openness(self):
         seg = Segment(0.2, 0.8, lo_closed=False, hi_closed=True, a=0.0, b=1.0)
         assert not seg.contains(0.2)
@@ -128,6 +133,10 @@ class TestParser:
     def test_syntax_error_names_line(self):
         with pytest.raises(LineParseError, match="line 3"):
             parse_transfer_spec("# ok\n[0.0,0.5) => 1.0\n0.5 to 1 gives 2\n")
+
+    def test_overflowing_coefficient_names_line(self):
+        with pytest.raises(LineParseError, match="line 2: coefficients must be finite"):
+            parse_transfer_spec("# huge\n[0.0,1.0] => 1e400*x\n")
 
     def test_bad_expression(self):
         with pytest.raises(LineParseError, match="expected"):
@@ -266,6 +275,11 @@ class TestEvaluateArray:
             heights = apply(tf, ScalarGrid(in_place), scale, out=in_place).values
             assert np.shares_memory(heights, in_place)
             assert_bitwise(in_place, scaled)
+
+    def test_overflow_yields_inf_quietly(self):
+        # pytest turns warnings into errors, so an overflow warning fails here.
+        tf = parse_transfer_spec("[0.0,1.0] => 1e308*x + 1e308\n")
+        assert np.array_equal(tf.evaluate_array(np.array([0.0, 1.0])), [1e308, np.inf])
 
     def test_out_must_match_shape_and_dtype(self):
         x = np.full((2, 3), 0.5)
