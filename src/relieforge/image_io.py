@@ -33,10 +33,9 @@ __all__ = [
     "to_grayscale",
 ]
 
-# Pixels that the blockwise passes (gray's table reads, the PGM encode)
-# handle at a time: the index and float temporaries of one block take a
-# few hundred KiB whatever the image. A pass that works in bands of rows
-# takes one row at least.
+# Pixels that the PGM encode handles at a time; gray, which holds three
+# float temporaries of its band, takes a quarter of it. Either way a band
+# takes a few hundred KiB whatever the image, and one row at least.
 _BLOCK = 1 << 16
 
 # Rec. 601 luma weights, applied in this fixed order so that (1,1,1)
@@ -65,7 +64,8 @@ class RasterImage:
     ``pixels`` is uint8 or uint16 of shape (height, width, c), every code
     in [0, maxval]. c is 1 (gray), 2 (gray + alpha), 3 (RGB) or 4 (RGBA);
     alpha is the last channel. Only 8-bit PNGs carry color or alpha, so
-    c > 1 needs maxval 255.
+    c > 1 needs maxval 255. It may be a view (decode_png returns the
+    interior of its padded grid), so it is read as it is, never copied.
     """
 
     pixels: np.ndarray
@@ -288,7 +288,7 @@ def _paeth(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 
 def _unfilter(raw: bytes, width: int, height: int, nch: int) -> np.ndarray:
-    """Undo the per-row scanline filters; returns (height, width, nch) uint8.
+    """Undo the per-row scanline filters; returns the (height, width, nch) uint8 codes.
 
     Every filter predicts pixel (r, x) from its left (r, x-1), upper
     (r-1, x) and upper-left (r-1, x-1) neighbours, so all pixels on one
@@ -301,7 +301,8 @@ def _unfilter(raw: bytes, width: int, height: int, nch: int) -> np.ndarray:
     grid and the codes, it holds O(width + height) bytes for any shape.
     Predictors are computed in int16 and stored as uint8, which is the
     spec's sum modulo 256. A filter type above 4 is refused before any
-    row is decoded.
+    row is decoded. The codes are the grid's interior, a view of it, so
+    they are never copied out.
     """
     rows = np.frombuffer(raw, dtype=np.uint8).reshape(height, 1 + width * nch)
     ftypes = rows[:, 0]
@@ -346,7 +347,7 @@ def _unfilter(raw: bytes, width: int, height: int, nch: int) -> np.ndarray:
         cur = run(at, n)
         np.add(cur, pred, out=cur, casting="unsafe")
         cells[at : at + n * width : width] = cur.view(pixel)
-    return np.ascontiguousarray(padded[1:, 1:])
+    return padded[1:, 1:]
 
 
 def decode_png(data: bytes) -> RasterImage:
@@ -356,7 +357,8 @@ def decode_png(data: bytes) -> RasterImage:
     wavefront over the image's anti-diagonals, height + width - 1 numpy
     steps in the zero-padded pixel grid, in O(width * height) memory
     whatever the shape (see _unfilter). The codes are returned as they
-    are, alpha included;
+    are, alpha included, as a view of that grid's interior: the decode
+    peaks at the file, the scanlines and the grid, about twice the codes.
     ``samples`` and to_grayscale composite alpha over white.
     Palette, 16-bit, and interlaced files raise PngUnsupportedError;
     structural damage (bad CRC, corrupt stream, unknown filter type)
@@ -437,38 +439,35 @@ def decode_png(data: bytes) -> RasterImage:
 def to_grayscale(img: RasterImage) -> GrayImage:
     """Collapse a RasterImage to intensities, bitwise equal to the luma of its samples.
 
-    Each color channel is read through a table of its float64 luma term:
-    luma_c * v/maxval for code v, or with alpha a (maxval is then 255),
-    luma_c * (v/255 * a/255 + (1 - a/255)) indexed by (v << 8) | a.
-    Gray, with or without alpha, has one table with luma 1; without
-    alpha it is codes / maxval. The entries come from the same IEEE
-    operations as ``samples``, and RGB sums to Rec. 601 luma
+    Each color channel's term takes the IEEE operations of ``samples``,
+    v/maxval for code v, or with alpha a (maxval is then 255) v/255 *
+    a/255 + (1 - a/255), times its weight. RGB sums to Rec. 601 luma
     0.299 R + (0.587 G + 0.114 B), green plus blue first: 0.587 + 0.114
     is exactly 0.701 in binary64, so pure white maps to exactly 1.0, and
-    adding red last is the same IEEE sum, since addition commutes. The
-    tables (at most 2 MiB) are built on each call and gathered _BLOCK
+    adding red last is the same IEEE sum, since addition commutes. Gray,
+    with or without alpha, is its one term with weight 1. The codes,
+    which may be any view, are read a band of rows of about _BLOCK // 4
     pixels at a time, so the result is the only full-size array made.
     """
     p = img.pixels
     alpha = p.shape[2] in (2, 4)
-    v = np.arange(img.maxval + 1) / img.maxval
-    if alpha:
-        v = (np.multiply.outer(v, v) + (1.0 - v)).reshape(-1)
-    terms = [(v, 0)]
+    terms = [(1.0, 0)]
     if img.channels == 3:  # green + blue first, then red
-        terms = [(_LUMA_G * v, 1), (_LUMA_B * v, 2), (_LUMA_R * v, 0)]
-    px = p.reshape(-1, p.shape[2])
-    gray = np.empty(len(px))
-    for start in range(0, len(px), _BLOCK):
-        block = px[start : start + _BLOCK]
-        out = gray[start : start + _BLOCK]
-        for k, (table, c) in enumerate(terms):
-            index = block[:, c].astype(np.intp)
+        terms = [(_LUMA_G, 1), (_LUMA_B, 2), (_LUMA_R, 0)]
+    gray = np.empty((img.height, img.width))
+    band = max(1, _BLOCK // 4 // img.width)
+    for r in range(0, img.height, band):
+        codes = p[r : r + band]
+        out = gray[r : r + band]
+        if alpha:
+            a = codes[:, :, -1] / img.maxval
+            white = 1.0 - a
+        for k, (weight, c) in enumerate(terms):
+            term = np.divide(codes[:, :, c], img.maxval, out=None if k else out)
             if alpha:
-                index <<= 8
-                index |= block[:, -1]
-            if k == 0:
-                np.take(table, index, out=out)
-            else:
-                out += table[index]
-    return GrayImage(gray.reshape(img.height, img.width))
+                term *= a
+                term += white
+            term *= weight
+            if k:
+                out += term
+    return GrayImage(gray)

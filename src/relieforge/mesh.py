@@ -410,10 +410,15 @@ def validate(m: TriangleMesh) -> MeshReport:
     np.not_equal(keys[1:], keys[:-1], out=starts[1:-1])
     edge_count = int(np.count_nonzero(starts)) - 1
     boundary = int(np.count_nonzero(starts[:-1] & starts[1:]))
-    nonmanifold = int(np.count_nonzero(starts[:-2] & ~starts[1:-1] & ~starts[2:]))
+    # For bools x > y is x & ~y. Written in place, one mask a byte per
+    # key is held beside `starts`; a & ~b & ~c holds two.
+    runs = starts[:-2] > starts[1:-1]
+    nonmanifold = int(np.count_nonzero(np.greater(runs, starts[2:], out=runs)))
 
     watertight = tri_count > 0 and boundary == 0 and nonmanifold == 0 and repeated == 0
-    box = m.vertices if nv else np.zeros((1, 3))
+    # One strided pass per coordinate; min(axis=0) over the (V, 3) rows
+    # runs numpy's inner loop three elements at a time.
+    box = columns if nv else np.zeros((3, 1))
     return MeshReport(
         vertex_count=nv,
         triangle_count=tri_count,
@@ -422,8 +427,8 @@ def validate(m: TriangleMesh) -> MeshReport:
         watertight=watertight,
         signed_volume=volume6 / 6.0,
         surface_area=area,
-        bbox_min=box.min(axis=0),
-        bbox_max=box.max(axis=0),
+        bbox_min=np.array([c.min() for c in box]),
+        bbox_max=np.array([c.max() for c in box]),
         degenerate_count=degenerate + int(m.degenerate_skipped),
         boundary_edge_count=boundary,
         nonmanifold_edge_count=nonmanifold,

@@ -274,8 +274,8 @@ def _parse_binary(fh: BinaryIO) -> TriangleMesh:
                     offset=84 + 50 * lo + got,
                 )
             corners = block["vertices"]
-            finite = np.isfinite(corners).reshape(len(block), 9).all(axis=1)
-            if not finite.all():
+            if not np.isfinite(corners).all():
+                finite = np.isfinite(corners).reshape(len(block), 9).all(axis=1)
                 first = lo + int(np.argmin(finite))
                 raise ByteParseError(
                     f"triangle {first} has a non-finite vertex coordinate",

@@ -159,6 +159,10 @@ class TransferFunction:
             for f in ("lo", "hi", "lo_closed", "hi_closed", "a", "b")
         )
         xs, outs = np.atleast_1d(x, out)
+        # Each element keeps its own x, so flipping both along every axis
+        # x walks backwards reads and writes each band in memory order.
+        backwards = tuple(i for i, step in enumerate(xs.strides) if step < 0)
+        xs, outs = np.flip(xs, backwards), np.flip(outs, backwards)
         band = max(1, _EVAL_BLOCK // max(1, math.prod(xs.shape[1:])))
         # An overflow yields inf quietly; HeightGrid refuses non-finite heights.
         with np.errstate(over="ignore"):

@@ -719,18 +719,18 @@ class TestPreview:
         img = tmp_path / "logo.png"
         img.write_bytes(make_png(blocks.repeat(20, axis=0).repeat(20, axis=1), color_type=6))
         _, peak = traced_peak(cli.preview, cli.PipelineConfig(str(img), str(tmp_path / "p.pgm")))
-        # The decode holds 1.5 float64 grids: the scanlines, its padded
-        # buffer and the codes. The peak is in gray, at 2.3 grids here:
-        # the codes, the gray grid and the lookup tables, which weigh
-        # more at this size. The transfer writes over the gray grid.
+        # The decode holds one float64 grid: the scanlines and its padded
+        # grid, whose interior the codes are. The peak is in gray: the
+        # codes, the gray grid and one band's temporaries. The transfer
+        # writes over the gray grid.
         assert peak < 3 * height * width * 8
 
     @pytest.mark.parametrize("mirror_x", [False, True])
     def test_peak_memory_codes_plus_one_float_grid(self, tmp_path, mirror_x):
         # After the decode the run holds one float64 grid: the gray
         # intensities, which the oriented grid views and the heights
-        # overwrite. The peak is in gray: the codes, that grid and the
-        # lookup tables.
+        # overwrite. The peak is in gray: the codes, that grid and one
+        # band's temporaries.
         height, width = 840, 2400
         rng = np.random.default_rng(15)
         blocks = rng.integers(0, 256, size=(height // 20, width // 20, 4), dtype=np.uint8)

@@ -24,7 +24,12 @@ from relieforge.image_io import (
 )
 
 from conftest import _chunk, make_pgm, make_png, make_png_filtered, traced_peak
-from test_reference_equivalence import samples_reference, scanlines, unfilter_reference
+from test_reference_equivalence import (
+    gray_reference,
+    samples_reference,
+    scanlines,
+    unfilter_reference,
+)
 
 
 class TestDecodePgm:
@@ -293,6 +298,16 @@ class TestDecodePng:
         expected = samples_reference(pixels.reshape(height, width, 4), 6)
         assert np.array_equal(samples.view(np.uint64), expected.view(np.uint64))
 
+    def test_peak_near_twice_the_codes(self):
+        # The file, the scanlines and the padded grid whose interior the
+        # codes are; a copy of the codes would take the peak to 3x.
+        height, width = 840, 2400
+        rng = np.random.default_rng(22)
+        blocks = rng.integers(0, 256, size=(height // 20, width // 20, 4), dtype=np.uint8)
+        data = make_png(blocks.repeat(20, axis=0).repeat(20, axis=1), color_type=6)
+        raster, peak = traced_peak(decode_png, data)
+        assert peak < 2.2 * raster.pixels.nbytes + 2 * len(data)
+
     def test_against_pillow(self):
         PIL_Image = pytest.importorskip("PIL.Image")
         rng = np.random.default_rng(42)
@@ -371,6 +386,40 @@ class TestToGrayscale:
         expected = 0.299 * r + (0.587 * g + 0.114 * b)
         got = to_grayscale(raster).values
         assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
+@st.composite
+def raster_views(draw):
+    # Codes of 1-4 channels (16-bit only for gray) as a view: the interior
+    # of a larger array, or the grid view decode_png returns.
+    nch = draw(st.integers(1, 4))
+    maxval = 255 if nch > 1 else draw(st.sampled_from([1, 200, 255, 256, 1000, 65535]))
+    dtype = np.uint8 if maxval < 256 else np.uint16
+    height, width = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    codes = draw(arrays(dtype, (height + 2, width + 3, nch), elements=st.integers(0, maxval)))
+    if maxval == 255 and draw(st.booleans()):
+        color_type = {1: 0, 2: 4, 3: 2, 4: 6}[nch]
+        return decode_png(make_png(codes[1:-1, 2:-1], color_type))
+    return RasterImage(codes[1:-1, 2:-1], maxval)
+
+
+class TestGrayscaleBands:
+    @settings(max_examples=200, deadline=None)
+    @given(raster_views(), st.integers(1, 3))
+    def test_bitwise_equal_to_luma_of_samples(self, raster, band):
+        assert raster.pixels.base is not None  # a view, never a copy
+        expected = gray_reference(raster.samples)
+        # Bands of 1-3 rows.
+        with mock.patch.object(image_io, "_BLOCK", 4 * band * raster.width):
+            got = to_grayscale(raster).values
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+    def test_allocates_its_result_and_under_one_mib(self):
+        height, width = 840, 2400
+        rng = np.random.default_rng(21)
+        raster = RasterImage(rng.integers(0, 256, (height, width, 4), dtype=np.uint8), 255)
+        gray, peak = traced_peak(to_grayscale, raster)
+        assert peak < gray.values.nbytes + (1 << 20)
 
 
 class TestEncodePgm:

@@ -10,7 +10,7 @@ formats each distinct float32 once, and the ASCII parser matches one
 pattern per facet and walks line by line only where that pattern stops;
 the PGM decoder reads P2 samples in whole-array passes; the PNG decoder
 undoes scanline filters one anti-diagonal at a time, and to_grayscale
-reads integer codes through lookup tables instead of float samples. The
+reads integer codes a band of rows at a time instead of float samples. The
 functions here are the earlier implementations -- np.unique over bit
 rows and edge codes, np.cross and np.linalg.norm over (n, 3) rows, a
 Python loop per facet, per line and per sample, whole float arrays --
@@ -851,7 +851,7 @@ def test_png_samples_match_float_reference(color_type, data):
 @pytest.mark.parametrize("color_type", [4, 6])
 def test_png_gray_covers_every_code_and_alpha(color_type):
     # Pixel (v, a) holds color v (blue 7v mod 256, a permutation) under
-    # alpha a, so every entry of every lookup table is read once.
+    # alpha a, so every pair of color and alpha code is composited once.
     v, a = np.meshgrid(np.arange(256), np.arange(256), indexing="ij")
     planes = [v] if color_type == 4 else [v, 255 - v, 7 * v % 256]
     pixels = np.stack(planes + [a], axis=2).astype(np.uint8)
