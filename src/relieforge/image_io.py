@@ -360,9 +360,10 @@ def decode_png(data: bytes) -> RasterImage:
     are, alpha included, as a view of that grid's interior: the decode
     peaks at the file, the scanlines and the grid, about twice the codes.
     ``samples`` and to_grayscale composite alpha over white.
-    Palette, 16-bit, and interlaced files raise PngUnsupportedError;
-    structural damage (bad CRC, corrupt stream, unknown filter type)
-    raises PngParseError.
+    Palette, 16-bit, and interlaced files, and unknown critical chunks,
+    raise PngUnsupportedError; unknown ancillary chunks are skipped.
+    Structural damage (bad CRC, a first chunk other than IHDR or a second
+    one, corrupt stream, unknown filter type) raises PngParseError.
     """
     data = bytes(data)
     if data[:8] != PNG_SIGNATURE:
@@ -385,14 +386,20 @@ def decode_png(data: bytes) -> RasterImage:
         if zlib.crc32(ctype + body) & 0xFFFFFFFF != crc:
             raise PngParseError(f"CRC mismatch in {ctype!r} chunk", body_at + length)
         if ctype == b"IHDR":
+            if ihdr is not None:
+                raise PngParseError("second IHDR chunk", pos)
             ihdr = body
+        elif ihdr is None:
+            raise PngParseError(f"first chunk is {ctype!r}, not IHDR", pos)
         elif ctype == b"IDAT":
             idat += body
-        elif ctype == b"PLTE":
-            pass  # legal alongside color type 2; palette itself unused
         elif ctype == b"IEND":
             saw_iend = True
             break
+        elif not ctype[0] & 0x20 and ctype != b"PLTE":
+            # An uppercase first letter marks a chunk the image needs. PLTE
+            # is legal alongside color type 2; the palette itself is unused.
+            raise PngUnsupportedError(f"unknown critical chunk {ctype!r}", pos)
         pos = body_at + length + 4
 
     if ihdr is None:

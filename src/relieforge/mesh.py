@@ -371,7 +371,7 @@ def validate(m: TriangleMesh) -> MeshReport:
     once. Area and volume add up per-block sums, so past one block their
     last digits may differ from one sum's. Each block writes its
     directed-edge keys into one array of 3T, sorted once: beside the
-    mesh, validate holds that array and masks as long.
+    mesh, validate then holds that array and one mask as long at a time.
     ``repeated_edge_count`` counts the directed edges that repeat an
     earlier one.
     """
@@ -403,17 +403,14 @@ def validate(m: TriangleMesh) -> MeshReport:
     keys.sort()
     repeated = int(np.count_nonzero(keys[1:] == keys[:-1]))
     keys >>= 1
-    # starts[i]: an undirected edge's run begins at key i; the last entry
-    # closes the final run. A run of one is a start followed by a start,
-    # a run of three or more a start followed by two non-starts.
-    starts = np.ones(len(keys) + 1, dtype=bool)
-    np.not_equal(keys[1:], keys[:-1], out=starts[1:-1])
-    edge_count = int(np.count_nonzero(starts)) - 1
-    boundary = int(np.count_nonzero(starts[:-1] & starts[1:]))
-    # For bools x > y is x & ~y. Written in place, one mask a byte per
-    # key is held beside `starts`; a & ~b & ~c holds two.
-    runs = starts[:-2] > starts[1:-1]
-    nonmanifold = int(np.count_nonzero(np.greater(runs, starts[2:], out=runs)))
+    # An edge used L times is a run of L equal keys, in which
+    # keys[i] == keys[i + s] holds max(L - s, 0) times. Summed over the
+    # runs as c1, c2 and c3, these count the runs, the runs of one and
+    # the runs of three or more.
+    c1, c2, c3 = (int(np.count_nonzero(keys[s:] == keys[:-s])) for s in (1, 2, 3))
+    edge_count = len(keys) - c1
+    boundary = len(keys) - 2 * c1 + c2
+    nonmanifold = c2 - c3
 
     watertight = tri_count > 0 and boundary == 0 and nonmanifold == 0 and repeated == 0
     # One strided pass per coordinate; min(axis=0) over the (V, 3) rows

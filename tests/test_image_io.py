@@ -262,6 +262,31 @@ class TestDecodePng:
         with pytest.raises(PngParseError, match="corrupt compressed stream"):
             decode_png(data)
 
+    # A gray 2x1 PNG split after its IHDR chunk (8 + 25 bytes).
+    PNG_2X1 = make_png(np.array([[7, 9]]), color_type=0)
+    HEAD, TAIL = PNG_2X1[:33], PNG_2X1[33:]
+
+    def test_unknown_critical_chunk_refused(self):
+        data = self.HEAD + _chunk(b"ABCD", b"x") + self.TAIL
+        message = r"^unknown critical chunk b'ABCD' \(at byte 33\)$"
+        with pytest.raises(PngUnsupportedError, match=message):
+            decode_png(data)
+
+    def test_unknown_ancillary_chunk_skipped(self):
+        data = self.HEAD + _chunk(b"abCD", b"x") + _chunk(b"tEXt", b"k\0v") + self.TAIL
+        assert np.array_equal(decode_png(data).pixels, decode_png(self.PNG_2X1).pixels)
+
+    def test_first_chunk_must_be_ihdr(self):
+        data = PNG_SIGNATURE + self.TAIL[:-12] + self.HEAD[8:] + self.TAIL[-12:]
+        message = r"^first chunk is b'IDAT', not IHDR \(at byte 8\)$"
+        with pytest.raises(PngParseError, match=message):
+            decode_png(data)
+
+    def test_second_ihdr_refused(self):
+        data = self.HEAD + self.HEAD[8:] + self.TAIL
+        with pytest.raises(PngParseError, match=r"^second IHDR chunk \(at byte 33\)$"):
+            decode_png(data)
+
     def test_unknown_filter_type_on_first_row(self):
         rows = [(5, bytes([1, 2])), (0, bytes([3, 4])), (9, bytes([5, 6]))]
         with pytest.raises(PngParseError, match=r"^unknown scanline filter type 5 \(at byte 0\)$"):

@@ -467,12 +467,25 @@ class TestAnalyticVolume:
 
 def test_validate_memory_is_bounded():
     # 107,628 triangles in four blocks: beside the mesh, validate holds
-    # 3T edge keys, masks as long and one block's temporaries, 2.6 times
-    # the mesh's own bytes here.
+    # 3T edge keys and one block's temporaries, then the sorted keys and
+    # one mask as long at a time. The peak, in the block loop, is 2.8
+    # times the mesh's own bytes here.
     mesh = close_solid(grid(np.random.default_rng(0).uniform(0.5, 3.0, size=(230, 230))))
     rep, peak = traced_peak(validate, mesh)
     assert rep.watertight and mesh.triangle_count == 107628
     assert peak < 3.5 * (mesh.vertices.nbytes + mesh.triangles.nbytes)
+
+
+def test_validate_counts_edges_with_one_mask_beside_the_keys(monkeypatch):
+    # With small blocks the peak falls after the sort: the 3T int64 keys
+    # and one comparison mask, a byte per key, at a time. Two masks held
+    # together would pass 2 bytes per key.
+    monkeypatch.setattr("relieforge.mesh._CHUNK", 256)
+    mesh = close_solid(grid(np.random.default_rng(0).uniform(0.5, 3.0, size=(230, 230))))
+    rep, peak = traced_peak(validate, mesh)
+    keys = 3 * mesh.triangle_count
+    assert rep.watertight and mesh.triangle_count == 107628
+    assert peak - 8 * keys < 1.5 * keys
 
 
 @pytest.mark.parametrize("side", [230, 460])

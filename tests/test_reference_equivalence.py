@@ -404,6 +404,20 @@ def test_validate_defects_match_reference(kind):
     assert expected["watertight"] == (kind == "closed")
 
 
+@pytest.mark.parametrize("uses", [1, 2, 3, 4, 5])
+def test_validate_edge_used_n_times_matches_reference(uses):
+    # A fan of triangles on the edge 0-1, alternately wound: that edge is
+    # a run of `uses` keys, and each fan edge to an apex a run of one.
+    triangles = np.array([(0, 1, 2 + i) if i % 2 == 0 else (1, 0, 2 + i) for i in range(uses)])
+    nv = 2 + uses
+    mesh = TriangleMesh(np.random.default_rng(uses).uniform(size=(nv, 3)), triangles)
+    counts = report_counts(mesh)
+    assert counts == edge_counts_reference(triangles, nv)
+    assert counts["edge_count"] == 1 + 2 * uses
+    assert counts["boundary_edge_count"] == 2 * uses + (uses == 1)
+    assert counts["nonmanifold_edge_count"] == (uses >= 3)
+
+
 @st.composite
 def index_meshes(draw):
     # Few vertices and many faces: holes, fans, repeats and loops abound.
