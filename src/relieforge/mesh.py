@@ -23,6 +23,7 @@ measures any mesh without modifying it.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +49,12 @@ DEFAULT_MIN_FEATURE = 0.001
 # Triangles per block in validate and the STL writers, and samples per
 # band in close_solid, which bounds the temporaries held at once.
 _CHUNK = 1 << 15
+# Directed-edge keys per part in validate: a mesh of T triangles sorts
+# its 3T keys in ceil(3T / _KEYS) parts, one at a time. A mesh with parts
+# has over 700K triangles, and read_stl's weld of it held 48 bytes a
+# triangle (over 32 MiB), so a part's 16 MiB of keys does not set
+# inspect's peak: smaller parts would add passes, not save memory.
+_KEYS = 1 << 21
 
 
 class InvertedSolidError(GeometryError):
@@ -354,6 +361,48 @@ def _block_geometry(columns, block, origin, moment) -> tuple[np.ndarray, float]:
     return areas, float(np.einsum("ij,ij->", origin[:n], moment[:n]))
 
 
+def _edge_runs(keys: np.ndarray) -> tuple[int, int, int, int]:
+    """Sort directed-edge keys in place and count equal keys among them.
+
+    Returns the count of directed edges that repeat an earlier one, then
+    c1, c2 and c3: the places where the undirected keys (each key >> 1)
+    equal themselves shifted by one, two and three places. Beside the
+    keys, one mask as long is held at a time.
+    """
+    keys.sort()
+    repeated = int(np.count_nonzero(keys[1:] == keys[:-1]))
+    keys >>= 1
+    c1, c2, c3 = (int(np.count_nonzero(keys[s:] == keys[:-s])) for s in (1, 2, 3))
+    return repeated, c1, c2, c3
+
+
+def _part_keys(
+    t: np.ndarray, nv: int, ids: np.ndarray, sizes: np.ndarray
+) -> Iterator[np.ndarray]:
+    """Yield each part's directed-edge keys in turn, gathered into one buffer.
+
+    ``ids`` holds each directed edge's part, shaped like ``t``: edge k of
+    triangle i runs from t[i, k] to t[i, (k + 1) % 3]. ``sizes`` counts
+    the edges in each part. A part is keyed as validate keys a block,
+    _CHUNK triangles and one corner column at a time, into a buffer as
+    long as the largest part, which the next part overwrites. Parts with
+    no edges are skipped.
+    """
+    buffer = np.empty(int(sizes.max()), dtype=np.int64)
+    for p in np.flatnonzero(sizes).tolist():
+        filled = 0
+        for lo in range(0, len(t), _CHUNK):
+            block = t[lo : lo + _CHUNK]
+            mine = ids[lo : lo + _CHUNK] == p
+            for k in range(3):
+                a = block[:, k][mine[:, k]]
+                b = block[:, (k + 1) % 3][mine[:, k]]
+                edges = (np.minimum(a, b) * nv + np.maximum(a, b)) << 1
+                buffer[filled : filled + len(a)] = edges | (a > b)
+                filled += len(a)
+        yield buffer[:filled]
+
+
 def validate(m: TriangleMesh) -> MeshReport:
     """Measure a mesh and decide whether it bounds a printable solid.
 
@@ -369,9 +418,15 @@ def validate(m: TriangleMesh) -> MeshReport:
     Triangles are measured _CHUNK at a time, coordinate by coordinate
     (see _block_geometry), with the two (n, 3) volume buffers allocated
     once. Area and volume add up per-block sums, so past one block their
-    last digits may differ from one sum's. Each block writes its
-    directed-edge keys into one array of 3T, sorted once: beside the
-    mesh, validate then holds that array and one mask as long at a time.
+    last digits may differ from one sum's. The directed edges' int64
+    keys, (undirected edge, direction), are sorted and counted in
+    ceil(3T / _KEYS) parts, at most one per vertex (see _edge_runs):
+    part p holds the edges whose lower vertex lies in [p * w, (p + 1) * w).
+    Keys rise with the lower vertex, so no run of equal keys crosses
+    parts. With one part, each block writes its keys into one array of
+    3T, and beside the mesh validate then holds that array and one mask
+    as long at a time. With more, each block stores its edges' part ids,
+    and the parts are gathered in turn into one buffer (see _part_keys).
     ``repeated_edge_count`` counts the directed edges that repeat an
     earlier one.
     """
@@ -388,7 +443,13 @@ def validate(m: TriangleMesh) -> MeshReport:
     # Directed edges keyed (undirected edge, direction): runs of equal
     # undirected codes give each edge's use count, and equal neighbouring
     # keys are a repeated directed edge.
-    keys = np.empty(3 * tri_count, dtype=np.int64)
+    parts = max(1, min(-(-3 * tri_count // _KEYS), nv))
+    width = -(-nv // parts)
+    if parts == 1:
+        keys = np.empty(3 * tri_count, dtype=np.int64)
+    else:
+        ids = np.empty((tri_count, 3), dtype=np.min_scalar_type(parts - 1))
+        sizes = np.zeros(parts, dtype=np.int64)
     for lo in range(0, tri_count, _CHUNK):
         block = t[lo : lo + _CHUNK]
         areas, block_volume6 = _block_geometry(columns, block, origin, moment)
@@ -397,19 +458,22 @@ def validate(m: TriangleMesh) -> MeshReport:
         volume6 += block_volume6
         a = block.ravel()
         b = block[:, [1, 2, 0]].ravel()
-        edges = (np.minimum(a, b) * nv + np.maximum(a, b)) << 1
-        keys[3 * lo : 3 * lo + len(a)] = edges | (a > b)
+        if parts > 1:
+            part = np.minimum(a, b) // width
+            ids[lo : lo + len(block)] = part.reshape(-1, 3)
+            sizes += np.bincount(part, minlength=parts)
+        else:
+            edges = (np.minimum(a, b) * nv + np.maximum(a, b)) << 1
+            keys[3 * lo : 3 * lo + len(a)] = edges | (a > b)
 
-    keys.sort()
-    repeated = int(np.count_nonzero(keys[1:] == keys[:-1]))
-    keys >>= 1
+    runs = [_edge_runs(keys)] if parts == 1 else map(_edge_runs, _part_keys(t, nv, ids, sizes))
+    repeated, c1, c2, c3 = map(sum, zip(*runs))
     # An edge used L times is a run of L equal keys, in which
     # keys[i] == keys[i + s] holds max(L - s, 0) times. Summed over the
     # runs as c1, c2 and c3, these count the runs, the runs of one and
     # the runs of three or more.
-    c1, c2, c3 = (int(np.count_nonzero(keys[s:] == keys[:-s])) for s in (1, 2, 3))
-    edge_count = len(keys) - c1
-    boundary = len(keys) - 2 * c1 + c2
+    edge_count = 3 * tri_count - c1
+    boundary = 3 * tri_count - 2 * c1 + c2
     nonmanifold = c2 - c3
 
     watertight = tri_count > 0 and boundary == 0 and nonmanifold == 0 and repeated == 0

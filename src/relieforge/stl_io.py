@@ -5,8 +5,8 @@ with "solid", a little-endian uint32 triangle count, then one 50-byte
 record per triangle (normal + three vertices as float32 triples, plus a
 zeroed uint16 attribute).  A well-formed file is therefore exactly
 84 + 50*T bytes, which doubles as the truncation check when reading;
-the reader checks it first and then reads the records a block at a
-time into the weld's integer keys.
+the reader checks it first and then reads the records twice, a block at
+a time, into the weld's integer keys.
 
 Both writers recompute normals from the winding in float64 and narrow
 every number to float32 exactly once at serialization, in blocks of
@@ -175,16 +175,18 @@ def _mesh_from_soup(blocks: Iterable[np.ndarray], count: int) -> TriangleMesh:
 
     Corners weld by exact equality -- parsing must not invent tolerances
     the file does not contain. Adding +0.0 turns -0.0 into 0.0; after
-    that, equal finite float32 values have equal bit patterns. No block
-    is kept: each becomes keys, its (x, y) bits in one uint64 array and
-    its z bits in a uint32 one. Ranking the distinct (x, y) keys makes
-    (rank << 32) | z a 64-bit vertex key (below 1.4e9 triangles there
-    are under 2**32 ranks); ranking those numbers the vertices in the
-    order of their (x, y, z) bits, and the keys give back the coordinates.
-    Each rank is written over the keys it ranks (see _ranks).
+    that, equal finite float32 values have equal bit patterns. ``blocks``
+    is read twice, so it must give the same blocks on each pass, as a
+    list does. No block is kept: the first pass writes each corner's
+    (x, y) bits into one uint64 key. Ranking the distinct (x, y) keys
+    makes (rank << 32) | z a 64-bit vertex key (below 1.4e9 triangles
+    there are under 2**32 ranks), and the second pass ORs each corner's
+    z bits into its shifted rank, so a corner takes 16 bytes at most: its
+    key and its place in a sort order. Ranking those numbers the vertices
+    in the order of their (x, y, z) bits, and the keys give back the
+    coordinates. Each rank is written over the keys it ranks (see _ranks).
     """
     xy = np.empty(3 * count, dtype=np.uint64)
-    z = np.empty(3 * count, dtype=np.uint32)
     lo = 0
     for corners in blocks:
         bits = (corners + np.float32(0.0)).reshape(-1, 3).view(np.uint32)
@@ -192,14 +194,19 @@ def _mesh_from_soup(blocks: Iterable[np.ndarray], count: int) -> TriangleMesh:
         xy[lo:hi] = bits[:, 0]
         xy[lo:hi] <<= 32
         xy[lo:hi] |= bits[:, 1]
-        z[lo:hi] = bits[:, 2]
         lo = hi
+    corners = bits = None  # a binary file's last block is a view of its record buffer
     xy_values, rank = _ranks(xy)
     key = rank.view(np.uint64)  # unsigned: a rank from 2**31 on shifts into the top bit
     del xy, rank
     key <<= 32
-    key |= z
-    del z
+    lo = 0
+    for corners in blocks:
+        bits = (corners[:, :, 2] + np.float32(0.0)).view(np.uint32).ravel()
+        hi = lo + len(bits)
+        key[lo:hi] |= bits
+        lo = hi
+    corners = bits = None
     vertex_keys, inverse = _ranks(key)
     del key
     xy_bits = xy_values[vertex_keys >> 32]
@@ -241,11 +248,50 @@ def _ranks(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(values), ranks
 
 
+class _Records:
+    """The corner blocks of a binary STL's ``count`` records, _CHUNK at a time.
+
+    Each pass seeks to byte 84 and reads the records again into one
+    buffer, so a pass holds one block of records whatever the count.
+    Every pass checks every block: a short read raises
+    StlTruncationError, a non-finite coordinate ByteParseError at its
+    triangle's offset.
+    """
+
+    def __init__(self, fh: BinaryIO, count: int):
+        self.fh, self.count = fh, count
+
+    def __iter__(self) -> Iterator[np.ndarray]:
+        fh, count = self.fh, self.count
+        fh.seek(84)
+        records = np.empty(min(_CHUNK, count), dtype=_RECORD)
+        for lo in range(0, count, _CHUNK):
+            block = records[: min(_CHUNK, count - lo)]
+            got = fh.readinto(block)
+            if got != block.nbytes:  # the file shrank after its size was read
+                raise StlTruncationError(
+                    f"binary STL ends at byte {84 + 50 * lo + got} of {84 + 50 * count}",
+                    offset=84 + 50 * lo + got,
+                )
+            corners = block["vertices"]
+            if not np.isfinite(corners).all():
+                finite = np.isfinite(corners).reshape(len(block), 9).all(axis=1)
+                first = lo + int(np.argmin(finite))
+                raise ByteParseError(
+                    f"triangle {first} has a non-finite vertex coordinate",
+                    offset=84 + 50 * first + 12,
+                )
+            yield corners
+
+
 def _parse_binary(fh: BinaryIO) -> TriangleMesh:
     """Parse a binary STL from a seekable file, _CHUNK records at a time.
 
     The file's length is checked against its declared triangle count
-    before anything is allocated by that count.
+    before anything is allocated by that count. The weld reads the
+    records twice (see _Records and _mesh_from_soup), each pass with
+    the same checks, so records that change between the passes are
+    refused as the first pass would refuse them.
     """
     size = fh.seek(0, io.SEEK_END)
     fh.seek(0)
@@ -262,28 +308,7 @@ def _parse_binary(fh: BinaryIO) -> TriangleMesh:
             f" {size} bytes",
             offset=min(size, expected),
         )
-
-    def blocks() -> Iterator[np.ndarray]:
-        records = np.empty(_CHUNK, dtype=_RECORD)
-        for lo in range(0, count, _CHUNK):
-            block = records[: min(_CHUNK, count - lo)]
-            got = fh.readinto(block)
-            if got != block.nbytes:  # the file shrank after its size was read
-                raise StlTruncationError(
-                    f"binary STL ends at byte {84 + 50 * lo + got} of {expected}",
-                    offset=84 + 50 * lo + got,
-                )
-            corners = block["vertices"]
-            if not np.isfinite(corners).all():
-                finite = np.isfinite(corners).reshape(len(block), 9).all(axis=1)
-                first = lo + int(np.argmin(finite))
-                raise ByteParseError(
-                    f"triangle {first} has a non-finite vertex coordinate",
-                    offset=84 + 50 * first + 12,
-                )
-            yield corners
-
-    return _mesh_from_soup(blocks(), count)
+    return _mesh_from_soup(_Records(fh, count), count)
 
 
 # ASCII grammar classes: str.splitlines() ends a line at each byte of
@@ -435,12 +460,15 @@ def read_stl(source: str | PathLike | bytes) -> TriangleMesh:
     """Parse an STL file or its bytes, sniffing ASCII ("solid" prefix) vs binary.
 
     Binary records are read _CHUNK at a time into the weld's keys, so a
-    binary file's bytes are never held whole; ASCII text is. A path must
-    name a file that can seek (no pipe), because the binary length check
-    comes before any record is read. A file that leads with "solid" but
-    fails the ASCII grammar is given one chance as binary (some
-    exporters write such files); if both parses fail, the ASCII error --
-    the more informative one -- is raised.
+    binary file's bytes are never held whole; ASCII text is. The weld
+    reads the records twice, their (x, y) bits and then their z bits,
+    so it holds 16 bytes a corner beside the distinct keys and one
+    block (see _mesh_from_soup). A path must name a file that can seek
+    (no pipe): the binary length check comes before any record is read,
+    and the second pass seeks back to the first record. A file that
+    leads with "solid" but fails the ASCII grammar is given one chance
+    as binary (some exporters write such files); if both parses fail,
+    the ASCII error -- the more informative one -- is raised.
     """
     with io.BytesIO(source) if isinstance(source, bytes) else open(source, "rb") as fh:
         if fh.read(5) == b"solid":

@@ -17,6 +17,7 @@ Python loop per facet, per line and per sample, whole float arrays --
 kept as oracles; hypothesis checks that both give the same meshes,
 counts, bytes, samples, gray and errors."""
 
+import dataclasses
 import io
 import struct
 
@@ -453,6 +454,44 @@ def test_validate_blocks_change_no_result(case):
     assert blocks.degenerate_count == one.degenerate_count
     assert blocks.signed_volume == pytest.approx(one.signed_volume, rel=1e-12, abs=1e-12)
     assert blocks.surface_area == pytest.approx(one.surface_area, rel=1e-12, abs=1e-12)
+
+
+@st.composite
+def wide_index_meshes(draw):
+    # index_meshes' defects on up to 300 triangles whose corners come from
+    # a pool of at most 40 vertex ids out of 257 to 600: one key a part
+    # makes more parts than a byte can number.
+    nv = draw(st.integers(257, 600))
+    pool = draw(st.lists(st.integers(0, nv - 1), min_size=1, max_size=40, unique=True))
+    shape = (draw(st.integers(1, 300)), 3)
+    return nv, draw(arrays(np.int64, shape, elements=st.sampled_from(pool)))
+
+
+def report_fields(rep) -> dict:
+    return {
+        k: v.tolist() if isinstance(v, np.ndarray) else v
+        for k, v in dataclasses.asdict(rep).items()
+    }
+
+
+@SETTINGS
+@given(st.one_of(index_meshes(), wide_index_meshes()), st.sampled_from([3, mesh_module._CHUNK]))
+@example((600, np.arange(900).reshape(300, 3) % 600), mesh_module._CHUNK)  # 600 parts
+@example((3, np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1], [0, 1, 2]])), 3)  # a face again, a block on
+def test_validate_parts_change_no_report_field(case, chunk):
+    # Up to 900 keys: one part at the default _KEYS. A _KEYS of 1 gives a
+    # part per vertex, a prime parts of a few vertices, and a _CHUNK of 3
+    # triangles gathers each part from many blocks.
+    nv, triangles = case
+    mesh = TriangleMesh(np.random.default_rng(nv).uniform(size=(nv, 3)), triangles)
+    expected = edge_counts_reference(triangles, nv)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mesh_module, "_CHUNK", chunk)
+        one = report_fields(validate(mesh))
+        for keys in (1, 7):
+            mp.setattr(mesh_module, "_KEYS", keys)
+            assert report_fields(validate(mesh)) == one
+            assert report_counts(mesh) == expected
 
 
 def geometry_reference(mesh: TriangleMesh) -> tuple[float, float, int]:

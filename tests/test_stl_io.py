@@ -341,6 +341,48 @@ class TestReadStl:
             stl_io._parse_binary(Shrunk(data[:-10]))
         assert e.value.offset == 674
 
+    @staticmethod
+    def reread(first: bytes, second: bytes) -> io.BytesIO:
+        """A file that holds ``first``, then ``second`` from the second seek to byte 84 on."""
+
+        class Changed(io.BytesIO):
+            passes = 0
+
+            def seek(self, pos, whence=io.SEEK_SET):
+                if (pos, whence) == (84, io.SEEK_SET):
+                    self.passes += 1
+                    if self.passes == 2:
+                        super().seek(0)
+                        self.write(second)
+                        self.truncate()
+                return super().seek(pos, whence)
+
+        return Changed(first)
+
+    @pytest.mark.parametrize("chunk", [4, stl_io._CHUNK])
+    def test_records_that_turn_nonfinite_on_the_second_pass(self, monkeypatch, chunk):
+        # The second pass reads z again and checks every coordinate as the
+        # first did, so a NaN that appears between the passes is refused.
+        monkeypatch.setattr(stl_io, "_CHUNK", chunk)
+        buf = io.BytesIO()
+        write_binary_stl(box_mesh(), buf)
+        data = buf.getvalue()
+        changed = bytearray(data)
+        struct.pack_into("<f", changed, 84 + 50 * 5 + 12 + 8, float("nan"))  # triangle 5, v0.z
+        fh = self.reread(data, bytes(changed))
+        with pytest.raises(ByteParseError, match="triangle 5") as e:
+            stl_io._parse_binary(fh)
+        assert e.value.offset == 84 + 50 * 5 + 12 and fh.passes == 2
+
+    def test_records_cut_short_on_the_second_pass(self):
+        buf = io.BytesIO()
+        write_binary_stl(box_mesh(), buf)
+        data = buf.getvalue()
+        fh = self.reread(data, data[:-10])
+        with pytest.raises(StlTruncationError, match="ends at byte 674 of 684") as e:
+            stl_io._parse_binary(fh)
+        assert e.value.offset == 674 and fh.passes == 2
+
     def test_read_from_path(self, tmp_path):
         path = tmp_path / "t.stl"
         write_binary_stl(box_mesh(), path)
@@ -398,11 +440,24 @@ class TestReadStl:
 
     def test_binary_read_memory_is_bounded(self, tmp_path):
         # 107,628 triangles in four blocks. Read from a path, the file's
-        # bytes are never held: the weld keeps 12 bytes of keys and the
+        # bytes are never held: the weld keeps an 8-byte key and the
         # 8-byte sort order per corner, the distinct keys and one block's
-        # gathers, 2.6 times the mesh's own bytes here.
+        # gathers, 1.8 times the mesh's own bytes here.
         mesh, peak = self.read_solid_peak(tmp_path, shuffled=False)
         assert peak < 3 * (mesh.vertices.nbytes + mesh.triangles.nbytes)
+
+    @pytest.mark.parametrize("shuffled", [False, True])
+    def test_binary_weld_takes_16_bytes_a_corner(self, tmp_path, shuffled):
+        # The weld reads the records twice, z only on the second pass, so
+        # it holds 16 bytes a corner, a key and its place in the sort
+        # order, beside the distinct (x, y) and vertex keys, 8 bytes each
+        # and at most one per vertex, some twice while they are joined,
+        # and one block of records. A uint32 array of z bits beside them
+        # would not fit.
+        mesh, peak = self.read_solid_peak(tmp_path, shuffled)
+        corners = 3 * mesh.triangle_count
+        block = stl_io._CHUNK * stl_io._RECORD.itemsize
+        assert peak < 16 * corners + 16 * len(mesh.vertices) + block
 
     def test_shuffled_binary_read_memory_is_bounded(self, tmp_path):
         # The same solid with its records in random order: the weld holds
