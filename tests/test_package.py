@@ -73,3 +73,30 @@ def test_every_private_module_name_is_read():
     assert defined
     unread = [f"{m}: {n}" for m, n in defined if (m, n) not in read_in and n not in read_anywhere]
     assert unread == []
+
+
+def test_every_imported_name_is_read():
+    # A name a module imports and never reads is a leftover. `import a.b`
+    # binds `a`; __future__ imports, star imports and the names a module
+    # lists in __all__ (its re-exports) are exempt.
+    imported, unread = 0, []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        exported, bound, read = set(), set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                    continue
+                for alias in node.names:
+                    if alias.name != "*":
+                        bound.add(alias.asname or alias.name.split(".")[0])
+            elif isinstance(node, ast.Assign) and "__all__" in [
+                getattr(t, "id", None) for t in node.targets
+            ]:
+                exported |= {c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant)}
+        imported += len(bound)
+        unread += [f"{path.name}: {n}" for n in sorted(bound - read - exported)]
+    assert imported
+    assert unread == []

@@ -478,6 +478,8 @@ def report_fields(rep) -> dict:
 @given(st.one_of(index_meshes(), wide_index_meshes()), st.sampled_from([3, mesh_module._CHUNK]))
 @example((600, np.arange(900).reshape(300, 3) % 600), mesh_module._CHUNK)  # 600 parts
 @example((3, np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1], [0, 1, 2]])), 3)  # a face again, a block on
+@example((40, np.array([[0, 2, 1], [0, 1, 3], [0, 3, 2], [1, 2, 3]])), 3)  # no edges in the top parts
+@example((40, np.array([[0, 38, 1], [0, 1, 39], [0, 39, 38], [1, 38, 39]])), 3)  # none in the middle
 def test_validate_parts_change_no_report_field(case, chunk):
     # Up to 900 keys: one part at the default _KEYS. A _KEYS of 1 gives a
     # part per vertex, a prime parts of a few vertices, and a _CHUNK of 3
