@@ -50,10 +50,10 @@ DEFAULT_MIN_FEATURE = 0.001
 # band in close_solid, which bounds the temporaries held at once.
 _CHUNK = 1 << 15
 # Directed-edge keys per part in validate: a mesh of T triangles sorts
-# its 3T keys in ceil(3T / _KEYS) parts, one at a time. A mesh with parts
-# has over 700K triangles, and read_stl's weld of it held 48 bytes a
-# triangle (over 32 MiB), so a part's 16 MiB of keys does not set
-# inspect's peak: smaller parts would add passes, not save memory.
+# its 3T keys in ceil(3T / _KEYS) parts, each found in a pass over every
+# block. A mesh with parts has over 700K triangles, and read_stl's weld
+# of it holds 48 bytes a triangle, so a part's 16 MiB of keys does not
+# set inspect's peak: smaller parts would add passes, not save memory.
 _KEYS = 1 << 21
 
 
@@ -376,27 +376,25 @@ def _edge_runs(keys: np.ndarray) -> tuple[int, int, int, int]:
     return repeated, c1, c2, c3
 
 
-def _part_keys(
-    t: np.ndarray, nv: int, ids: np.ndarray, sizes: np.ndarray
-) -> Iterator[np.ndarray]:
+def _part_keys(t: np.ndarray, nv: int, width: int, sizes: np.ndarray) -> Iterator[np.ndarray]:
     """Yield each part's directed-edge keys in turn, gathered into one buffer.
 
-    ``ids`` holds each directed edge's part, shaped like ``t``: edge k of
-    triangle i runs from t[i, k] to t[i, (k + 1) % 3]. ``sizes`` counts
-    the edges in each part. A part is keyed as validate keys a block,
-    _CHUNK triangles and one corner column at a time, into a buffer as
-    long as the largest part, which the next part overwrites. Parts with
-    no edges are skipped.
+    Edge k of triangle i runs from t[i, k] to t[i, (k + 1) % 3], and
+    part p holds the edges whose lower vertex v has v // width == p.
+    ``sizes`` counts the edges in each part. A part is found and keyed
+    as validate keys a block, _CHUNK triangles and one corner column at
+    a time, into a buffer as long as the largest part, which the next
+    part overwrites. Parts with no edges are skipped.
     """
     buffer = np.empty(int(sizes.max()), dtype=np.int64)
     for p in np.flatnonzero(sizes).tolist():
         filled = 0
         for lo in range(0, len(t), _CHUNK):
             block = t[lo : lo + _CHUNK]
-            mine = ids[lo : lo + _CHUNK] == p
             for k in range(3):
-                a = block[:, k][mine[:, k]]
-                b = block[:, (k + 1) % 3][mine[:, k]]
+                a, b = block[:, k], block[:, (k + 1) % 3]
+                mine = np.minimum(a, b) // width == p
+                a, b = a[mine], b[mine]
                 edges = (np.minimum(a, b) * nv + np.maximum(a, b)) << 1
                 buffer[filled : filled + len(a)] = edges | (a > b)
                 filled += len(a)
@@ -425,8 +423,10 @@ def validate(m: TriangleMesh) -> MeshReport:
     Keys rise with the lower vertex, so no run of equal keys crosses
     parts. With one part, each block writes its keys into one array of
     3T, and beside the mesh validate then holds that array and one mask
-    as long at a time. With more, each block stores its edges' part ids,
-    and the parts are gathered in turn into one buffer (see _part_keys).
+    as long at a time. With more, each block counts its edges in each
+    part, and the parts are gathered in turn into one buffer (see
+    _part_keys). The volume buffers are freed before the edges are
+    counted.
     ``repeated_edge_count`` counts the directed edges that repeat an
     earlier one.
     """
@@ -448,7 +448,6 @@ def validate(m: TriangleMesh) -> MeshReport:
     if parts == 1:
         keys = np.empty(3 * tri_count, dtype=np.int64)
     else:
-        ids = np.empty((tri_count, 3), dtype=np.min_scalar_type(parts - 1))
         sizes = np.zeros(parts, dtype=np.int64)
     for lo in range(0, tri_count, _CHUNK):
         block = t[lo : lo + _CHUNK]
@@ -459,14 +458,13 @@ def validate(m: TriangleMesh) -> MeshReport:
         a = block.ravel()
         b = block[:, [1, 2, 0]].ravel()
         if parts > 1:
-            part = np.minimum(a, b) // width
-            ids[lo : lo + len(block)] = part.reshape(-1, 3)
-            sizes += np.bincount(part, minlength=parts)
+            sizes += np.bincount(np.minimum(a, b) // width, minlength=parts)
         else:
             edges = (np.minimum(a, b) * nv + np.maximum(a, b)) << 1
             keys[3 * lo : 3 * lo + len(a)] = edges | (a > b)
+    del origin, moment
 
-    runs = [_edge_runs(keys)] if parts == 1 else map(_edge_runs, _part_keys(t, nv, ids, sizes))
+    runs = [_edge_runs(keys)] if parts == 1 else map(_edge_runs, _part_keys(t, nv, width, sizes))
     repeated, c1, c2, c3 = map(sum, zip(*runs))
     # An edge used L times is a run of L equal keys, in which
     # keys[i] == keys[i + s] holds max(L - s, 0) times. Summed over the

@@ -5,8 +5,8 @@ with "solid", a little-endian uint32 triangle count, then one 50-byte
 record per triangle (normal + three vertices as float32 triples, plus a
 zeroed uint16 attribute).  A well-formed file is therefore exactly
 84 + 50*T bytes, which doubles as the truncation check when reading;
-the reader checks it first and then reads the records twice, a block at
-a time, into the weld's integer keys.
+the reader checks it first and then reads the records three times, a
+block at a time (see _mesh_from_soup).
 
 Both writers recompute normals from the winding in float64 and narrow
 every number to float32 exactly once at serialization, in blocks of
@@ -176,15 +176,16 @@ def _mesh_from_soup(blocks: Iterable[np.ndarray], count: int) -> TriangleMesh:
     Corners weld by exact equality -- parsing must not invent tolerances
     the file does not contain. Adding +0.0 turns -0.0 into 0.0; after
     that, equal finite float32 values have equal bit patterns. ``blocks``
-    is read twice, so it must give the same blocks on each pass, as a
-    list does. No block is kept: the first pass writes each corner's
-    (x, y) bits into one uint64 key. Ranking the distinct (x, y) keys
-    makes (rank << 32) | z a 64-bit vertex key (below 1.4e9 triangles
-    there are under 2**32 ranks), and the second pass ORs each corner's
-    z bits into its shifted rank, so a corner takes 16 bytes at most: its
-    key and its place in a sort order. Ranking those numbers the vertices
-    in the order of their (x, y, z) bits, and the keys give back the
-    coordinates. Each rank is written over the keys it ranks (see _ranks).
+    is read three times, so it must give the same blocks on each pass, as
+    a list does. No block is kept: the first pass writes each corner's
+    (x, y) bits into one uint64 key. Ranking those keys makes
+    (rank << 32) | z a 64-bit vertex key (below 1.4e9 triangles there
+    are under 2**32 ranks), and the second pass ORs each corner's z bits
+    into its shifted rank, so a corner takes 16 bytes at most: its key
+    and its place in a sort order. Ranking those numbers the vertices in
+    the order of their (x, y, z) bits, each rank written over the key it
+    ranks (see _ranks), and the third pass writes each corner's
+    coordinates over its vertex, one corner of each triangle at a time.
     """
     xy = np.empty(3 * count, dtype=np.uint64)
     lo = 0
@@ -196,9 +197,7 @@ def _mesh_from_soup(blocks: Iterable[np.ndarray], count: int) -> TriangleMesh:
         xy[lo:hi] |= bits[:, 1]
         lo = hi
     corners = bits = None  # a binary file's last block is a view of its record buffer
-    xy_values, rank = _ranks(xy)
-    key = rank.view(np.uint64)  # unsigned: a rank from 2**31 on shifts into the top bit
-    del xy, rank
+    key = _ranks(xy)[1].view(np.uint64)  # a rank from 2**31 on shifts into the top bit
     key <<= 32
     lo = 0
     for corners in blocks:
@@ -207,31 +206,34 @@ def _mesh_from_soup(blocks: Iterable[np.ndarray], count: int) -> TriangleMesh:
         key[lo:hi] |= bits
         lo = hi
     corners = bits = None
-    vertex_keys, inverse = _ranks(key)
-    del key
-    xy_bits = xy_values[vertex_keys >> 32]
-    vertices = np.empty((len(vertex_keys), 3))
-    # Narrowing to uint32 keeps the low 32 bits.
-    for k, column in enumerate([xy_bits >> 32, xy_bits, vertex_keys]):
-        vertices[:, k] = column.astype(np.uint32).view(np.float32)
-    return TriangleMesh(vertices, inverse.reshape(-1, 3))
+    vertex_count, inverse = _ranks(key)
+    triangles = inverse.reshape(-1, 3)
+    vertices = np.empty((vertex_count, 3))
+    item = np.dtype((np.void, 24))  # a vertex's coordinates as one item, which scatters faster
+    rows = vertices.view(item)[:, 0]
+    lo = 0
+    for corners in blocks:
+        hi = lo + len(corners)
+        for k in range(3):
+            rows[triangles[lo:hi, k]] = np.add(corners[:, k], 0.0, dtype=float).view(item)[:, 0]
+        lo = hi
+    return TriangleMesh(vertices, triangles)
 
 
-def _ranks(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The sorted distinct values of uint64 keys, and each key's index among them.
+def _ranks(keys: np.ndarray) -> tuple[int, np.ndarray]:
+    """The number of distinct uint64 keys, and each key's rank among them.
 
     The indices are written over ``keys``, which comes back viewed as
     int64. One argsort orders the keys; then, _CHUNK places of the order
     at a time, the keys are gathered, the starts of runs of equal keys
-    give the block's distinct values and running ranks, and the ranks
-    are scattered back through the order. Beside the keys, only the
-    order and the distinct values are held whole. No step is a binary
-    search, whose cost climbs when keys come in random order, as the
-    corners of a shuffled file do.
+    give the block's running ranks, and the ranks are scattered back
+    through the order. Beside the keys, only the order is held whole. No
+    step is a binary search, whose cost climbs when keys come in random
+    order, as the corners of a shuffled file do.
     """
     order = np.argsort(keys)
     ranks = keys.view(np.int64)
-    values, done, last = [keys[:0]], 0, None  # keys[:0]: no keys concatenate to no values
+    done, last = 0, None
     for lo in range(0, len(keys), _CHUNK):
         at = order[lo : lo + _CHUNK]
         run = keys[at]  # earlier blocks wrote only to their own places
@@ -239,13 +241,12 @@ def _ranks(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         starts[0] = last is None or run[0] != last
         np.not_equal(run[1:], run[:-1], out=starts[1:])
         last = run[-1]
-        values.append(run[starts])
         rank = np.cumsum(starts, dtype=np.int64)
         rank += done - 1
-        done += len(values[-1])
+        done = int(rank[-1]) + 1
         ranks[at] = rank
     del order
-    return np.concatenate(values), ranks
+    return done, ranks
 
 
 class _Records:
@@ -289,8 +290,8 @@ def _parse_binary(fh: BinaryIO) -> TriangleMesh:
 
     The file's length is checked against its declared triangle count
     before anything is allocated by that count. The weld reads the
-    records twice (see _Records and _mesh_from_soup), each pass with
-    the same checks, so records that change between the passes are
+    records three times (see _Records and _mesh_from_soup), each pass
+    with the same checks, so records that change between the passes are
     refused as the first pass would refuse them.
     """
     size = fh.seek(0, io.SEEK_END)
@@ -461,11 +462,11 @@ def read_stl(source: str | PathLike | bytes) -> TriangleMesh:
 
     Binary records are read _CHUNK at a time into the weld's keys, so a
     binary file's bytes are never held whole; ASCII text is. The weld
-    reads the records twice, their (x, y) bits and then their z bits,
-    so it holds 16 bytes a corner beside the distinct keys and one
-    block (see _mesh_from_soup). A path must name a file that can seek
-    (no pipe): the binary length check comes before any record is read,
-    and the second pass seeks back to the first record. A file that
+    reads the records three times, their (x, y) bits, their z bits and
+    then their coordinates, so it holds 16 bytes a corner and one block
+    (see _mesh_from_soup). A path must name a file that can seek (no
+    pipe): the binary length check comes before any record is read,
+    and the later passes seek back to the first record. A file that
     leads with "solid" but fails the ASCII grammar is given one chance
     as binary (some exporters write such files); if both parses fail,
     the ASCII error -- the more informative one -- is raised.

@@ -492,12 +492,13 @@ def test_validate_counts_edges_with_one_mask_beside_the_keys(monkeypatch):
 def test_validate_keys_in_parts_are_bounded(monkeypatch, chunk):
     # With _KEYS = 2**17 the 322,884 directed edges of the 230x230 solid
     # go in three parts by their lower vertex. Beside the mesh, validate
-    # then holds a one-byte part id per directed edge, the keys of one
-    # part, 8 bytes each, and one block's temporaries: origin and moment,
-    # the corners' coordinates and the edge product's operands, under 256
-    # bytes a triangle. The 8-byte keys of all 3T edges would not fit. At
-    # the default _CHUNK the block loop sets the peak; at 1024 the part
-    # buffer and its comparison masks do.
+    # then holds the keys of one part, 8 bytes each, and one block's
+    # temporaries: origin and moment, the corners' coordinates and the
+    # edge product's operands, under 256 bytes a triangle. No part id is
+    # stored: each part is found again from its edges' lower vertices.
+    # The 8-byte keys of all 3T edges would not fit. At the default
+    # _CHUNK the block loop sets the peak; at 1024 the part buffer and
+    # its comparison masks do.
     monkeypatch.setattr("relieforge.mesh._KEYS", 1 << 17)
     monkeypatch.setattr("relieforge.mesh._CHUNK", chunk)
     mesh = close_solid(grid(np.random.default_rng(0).uniform(0.5, 3.0, size=(230, 230))))
@@ -507,7 +508,7 @@ def test_validate_keys_in_parts_are_bounded(monkeypatch, chunk):
     largest = np.bincount((np.minimum(t, np.roll(t, -1, axis=1)) // width).ravel()).max()
     rep, peak = traced_peak(validate, mesh)
     assert rep.watertight and mesh.triangle_count == 107628 and parts == 3
-    assert peak < 8 * largest + 3 * len(t) + 256 * chunk
+    assert peak < 8 * largest + 256 * chunk
 
 
 @pytest.mark.parametrize("side", [230, 460])

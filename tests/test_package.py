@@ -1,6 +1,7 @@
 import ast
 import importlib
 import importlib.util
+import subprocess
 import sys
 from pathlib import Path
 
@@ -100,3 +101,17 @@ def test_every_imported_name_is_read():
         unread += [f"{path.name}: {n}" for n in sorted(bound - read - exported)]
     assert imported
     assert unread == []
+
+
+def test_import_loads_no_new_standard_module():
+    # Every run pays for what `import relieforge` loads: the benchmark's
+    # setup_s times that import alone. Beyond numpy's modules it loads the
+    # package's own and these; a new one needs a reason. conftest puts src
+    # on PYTHONPATH for the child.
+    code = "import sys, numpy; s = set(sys.modules); import relieforge; print(*set(sys.modules) - s)"
+    loaded = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    ).stdout.split()
+    allowed = {"__future__", "_json", "argparse", "copy", "dataclasses", "gettext", "json"}
+    new = [m for m in loaded if m.partition(".")[0] not in allowed | {"relieforge"}]
+    assert "relieforge.cli" in loaded and new == []

@@ -342,8 +342,8 @@ class TestReadStl:
         assert e.value.offset == 674
 
     @staticmethod
-    def reread(first: bytes, second: bytes) -> io.BytesIO:
-        """A file that holds ``first``, then ``second`` from the second seek to byte 84 on."""
+    def reread(first: bytes, later: bytes, at: int) -> io.BytesIO:
+        """A file that holds ``first``, then ``later`` from seek ``at`` to byte 84 on."""
 
         class Changed(io.BytesIO):
             passes = 0
@@ -351,9 +351,9 @@ class TestReadStl:
             def seek(self, pos, whence=io.SEEK_SET):
                 if (pos, whence) == (84, io.SEEK_SET):
                     self.passes += 1
-                    if self.passes == 2:
+                    if self.passes == at:
                         super().seek(0)
-                        self.write(second)
+                        self.write(later)
                         self.truncate()
                 return super().seek(pos, whence)
 
@@ -361,27 +361,31 @@ class TestReadStl:
 
     @pytest.mark.parametrize("chunk", [4, stl_io._CHUNK])
     def test_records_that_turn_nonfinite_on_the_second_pass(self, monkeypatch, chunk):
-        # The second pass reads z again and checks every coordinate as the
-        # first did, so a NaN that appears between the passes is refused.
+        # The second and third passes read the records again and check
+        # every coordinate as the first did, so a NaN that appears
+        # between the passes is refused.
         monkeypatch.setattr(stl_io, "_CHUNK", chunk)
         buf = io.BytesIO()
         write_binary_stl(box_mesh(), buf)
         data = buf.getvalue()
         changed = bytearray(data)
         struct.pack_into("<f", changed, 84 + 50 * 5 + 12 + 8, float("nan"))  # triangle 5, v0.z
-        fh = self.reread(data, bytes(changed))
-        with pytest.raises(ByteParseError, match="triangle 5") as e:
-            stl_io._parse_binary(fh)
-        assert e.value.offset == 84 + 50 * 5 + 12 and fh.passes == 2
+        for at in (2, 3):
+            fh = self.reread(data, bytes(changed), at)
+            with pytest.raises(ByteParseError, match="triangle 5") as e:
+                stl_io._parse_binary(fh)
+            assert e.value.offset == 84 + 50 * 5 + 12 and fh.passes == at
 
     def test_records_cut_short_on_the_second_pass(self):
+        # The second and third passes check the length of each read too.
         buf = io.BytesIO()
         write_binary_stl(box_mesh(), buf)
         data = buf.getvalue()
-        fh = self.reread(data, data[:-10])
-        with pytest.raises(StlTruncationError, match="ends at byte 674 of 684") as e:
-            stl_io._parse_binary(fh)
-        assert e.value.offset == 674 and fh.passes == 2
+        for at in (2, 3):
+            fh = self.reread(data, data[:-10], at)
+            with pytest.raises(StlTruncationError, match="ends at byte 674 of 684") as e:
+                stl_io._parse_binary(fh)
+            assert e.value.offset == 674 and fh.passes == at
 
     def test_read_from_path(self, tmp_path):
         path = tmp_path / "t.stl"
@@ -448,16 +452,17 @@ class TestReadStl:
 
     @pytest.mark.parametrize("shuffled", [False, True])
     def test_binary_weld_takes_16_bytes_a_corner(self, tmp_path, shuffled):
-        # The weld reads the records twice, z only on the second pass, so
-        # it holds 16 bytes a corner, a key and its place in the sort
-        # order, beside the distinct (x, y) and vertex keys, 8 bytes each
-        # and at most one per vertex, some twice while they are joined,
-        # and one block of records. A uint32 array of z bits beside them
-        # would not fit.
+        # The weld reads the records three times: (x, y), then z, then the
+        # coordinates. It holds 16 bytes a corner, a key and its place in
+        # the sort order, and one block of records. On the third pass a
+        # corner's rank and its vertex's coordinates take under 16 bytes
+        # a corner, and one corner of a block's triangles at a time is
+        # widened to float64. A uint32 array of z bits, the distinct keys,
+        # or a whole block of float64 corners would not fit.
         mesh, peak = self.read_solid_peak(tmp_path, shuffled)
         corners = 3 * mesh.triangle_count
         block = stl_io._CHUNK * stl_io._RECORD.itemsize
-        assert peak < 16 * corners + 16 * len(mesh.vertices) + block
+        assert peak < 16 * corners + block
 
     def test_shuffled_binary_read_memory_is_bounded(self, tmp_path):
         # The same solid with its records in random order: the weld holds
