@@ -50,11 +50,12 @@ DEFAULT_MIN_FEATURE = 0.001
 # band in close_solid, which bounds the temporaries held at once.
 _CHUNK = 1 << 15
 # Directed-edge keys per part in validate: a mesh of T triangles sorts
-# its 3T keys in ceil(3T / _KEYS) parts, each found in a pass over every
-# block. A mesh with parts has over 700K triangles, and read_stl's weld
-# of it holds 48 bytes a triangle, so a part's 16 MiB of keys does not
-# set inspect's peak: smaller parts would add passes, not save memory.
-_KEYS = 1 << 21
+# its 3T keys in P = ceil(3T / _KEYS) parts, each found in a pass over
+# every block. read_stl's weld holds 48 bytes a triangle; validate holds
+# the mesh (about 36 when V is about T / 2) and one part's keys and mask,
+# 9 bytes a key or 27T / P. So from three parts on (T over 700K) the
+# weld sets inspect's peak. Meshes under 350K triangles keep one part.
+_KEYS = 1 << 20
 
 
 class InvertedSolidError(GeometryError):
@@ -380,11 +381,13 @@ def _part_keys(t: np.ndarray, nv: int, width: int, sizes: np.ndarray) -> Iterato
     """Yield each part's directed-edge keys in turn, gathered into one buffer.
 
     Edge k of triangle i runs from t[i, k] to t[i, (k + 1) % 3], and
-    part p holds the edges whose lower vertex v has v // width == p.
-    ``sizes`` counts the edges in each part. A part is found and keyed
-    as validate keys a block, _CHUNK triangles and one corner column at
-    a time, into a buffer as long as the largest part, which the next
-    part overwrites. Parts with no edges are skipped.
+    part p holds the edges whose lower vertex lies in
+    [p * width, (p + 1) * width). ``sizes`` counts the edges in each
+    part. A part is found and keyed as validate keys a block, _CHUNK
+    triangles and one corner column at a time, into a buffer as long as
+    the largest part, which the next part overwrites. The part's edges
+    are gathered by index, which in random order is faster than by a
+    boolean mask on a column view. Parts with no edges are skipped.
     """
     buffer = np.empty(int(sizes.max()), dtype=np.int64)
     for p in np.flatnonzero(sizes).tolist():
@@ -393,9 +396,10 @@ def _part_keys(t: np.ndarray, nv: int, width: int, sizes: np.ndarray) -> Iterato
             block = t[lo : lo + _CHUNK]
             for k in range(3):
                 a, b = block[:, k], block[:, (k + 1) % 3]
-                mine = np.minimum(a, b) // width == p
-                a, b = a[mine], b[mine]
-                edges = (np.minimum(a, b) * nv + np.maximum(a, b)) << 1
+                low = np.minimum(a, b)
+                mine = np.flatnonzero((low >= p * width) & (low < (p + 1) * width))
+                a, b, low = a[mine], b[mine], low[mine]
+                edges = (low * nv + np.maximum(a, b)) << 1
                 buffer[filled : filled + len(a)] = edges | (a > b)
                 filled += len(a)
         yield buffer[:filled]
@@ -425,8 +429,10 @@ def validate(m: TriangleMesh) -> MeshReport:
     3T, and beside the mesh validate then holds that array and one mask
     as long at a time. With more, each block counts its edges in each
     part, and the parts are gathered in turn into one buffer (see
-    _part_keys). The volume buffers are freed before the edges are
-    counted.
+    _part_keys), so validate holds one part's keys and mask, about 9
+    bytes a key, beside the mesh: from three parts on, less than
+    read_stl's weld of the same mesh (see _KEYS). The volume buffers
+    are freed before the edges are counted.
     ``repeated_edge_count`` counts the directed edges that repeat an
     earlier one.
     """

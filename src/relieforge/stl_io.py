@@ -184,8 +184,10 @@ def _mesh_from_soup(blocks: Iterable[np.ndarray], count: int) -> TriangleMesh:
     into its shifted rank, so a corner takes 16 bytes at most: its key
     and its place in a sort order. Ranking those numbers the vertices in
     the order of their (x, y, z) bits, each rank written over the key it
-    ranks (see _ranks), and the third pass writes each corner's
-    coordinates over its vertex, one corner of each triangle at a time.
+    ranks, with the sign bit set on one corner of each vertex (see
+    _ranks). The third pass clears those bits a block at a time and
+    writes the flagged corners' coordinates over their vertices, one
+    corner of each triangle at a time, so each vertex is written once.
     """
     xy = np.empty(3 * count, dtype=np.uint64)
     lo = 0
@@ -197,8 +199,8 @@ def _mesh_from_soup(blocks: Iterable[np.ndarray], count: int) -> TriangleMesh:
         xy[lo:hi] |= bits[:, 1]
         lo = hi
     corners = bits = None  # a binary file's last block is a view of its record buffer
-    key = _ranks(xy)[1].view(np.uint64)  # a rank from 2**31 on shifts into the top bit
-    key <<= 32
+    key = _ranks(xy)[1].view(np.uint64)
+    key <<= 32  # shifts out the sign bit; a rank from 2**31 on shifts into it
     lo = 0
     for corners in blocks:
         bits = (corners[:, :, 2] + np.float32(0.0)).view(np.uint32).ravel()
@@ -215,7 +217,10 @@ def _mesh_from_soup(blocks: Iterable[np.ndarray], count: int) -> TriangleMesh:
     for corners in blocks:
         hi = lo + len(corners)
         for k in range(3):
-            rows[triangles[lo:hi, k]] = np.add(corners[:, k], 0.0, dtype=float).view(item)[:, 0]
+            at = triangles[lo:hi, k]
+            first = np.flatnonzero(at < 0)
+            at &= (1 << 63) - 1
+            rows[at[first]] = np.add(corners[first, k], 0.0, dtype=float).view(item)[:, 0]
         lo = hi
     return TriangleMesh(vertices, triangles)
 
@@ -224,10 +229,12 @@ def _ranks(keys: np.ndarray) -> tuple[int, np.ndarray]:
     """The number of distinct uint64 keys, and each key's rank among them.
 
     The indices are written over ``keys``, which comes back viewed as
-    int64. One argsort orders the keys; then, _CHUNK places of the order
-    at a time, the keys are gathered, the starts of runs of equal keys
-    give the block's running ranks, and the ranks are scattered back
-    through the order. Beside the keys, only the order is held whole. No
+    int64, with the sign bit, which no rank uses, set on the rank of the
+    first key of each run of equal keys in the sort order. One argsort
+    orders the keys; then, _CHUNK places of the order at a time, the
+    keys are gathered, the starts of runs of equal keys give the block's
+    running ranks and flags, and the ranks are scattered back through
+    the order. Beside the keys, only the order is held whole. No
     step is a binary search, whose cost climbs when keys come in random
     order, as the corners of a shuffled file do.
     """
@@ -244,6 +251,7 @@ def _ranks(keys: np.ndarray) -> tuple[int, np.ndarray]:
         rank = np.cumsum(starts, dtype=np.int64)
         rank += done - 1
         done = int(rank[-1]) + 1
+        rank[np.flatnonzero(starts)] |= -1 << 63
         ranks[at] = rank
     del order
     return done, ranks
@@ -463,10 +471,11 @@ def read_stl(source: str | PathLike | bytes) -> TriangleMesh:
     Binary records are read _CHUNK at a time into the weld's keys, so a
     binary file's bytes are never held whole; ASCII text is. The weld
     reads the records three times, their (x, y) bits, their z bits and
-    then their coordinates, so it holds 16 bytes a corner and one block
-    (see _mesh_from_soup). A path must name a file that can seek (no
-    pipe): the binary length check comes before any record is read,
-    and the later passes seek back to the first record. A file that
+    then the coordinates of one corner of each vertex, so it holds 16
+    bytes a corner and one block (see _mesh_from_soup). A path must name
+    a file that can seek (no pipe): the binary length check comes before
+    any record is read, and the later passes seek back to the first
+    record. A file that
     leads with "solid" but fails the ASCII grammar is given one chance
     as binary (some exporters write such files); if both parses fail,
     the ASCII error -- the more informative one -- is raised.

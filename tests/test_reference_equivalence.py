@@ -227,6 +227,13 @@ def binary_stl(soup: np.ndarray) -> bytes:
     return b"\x00" * 80 + struct.pack("<I", len(soup)) + body.tobytes()
 
 
+# Thirteen triangles around one corner, (1, 2, 3): at a chunk of 5 every
+# block of records holds it, and its run of 13 equal keys crosses blocks
+# of the sort order.
+SHARED_CORNER = np.array(
+    [[[1, 2, 3], [k, 0, 0], [0, k, 0]] for k in range(4, 17)], dtype=np.float32
+)
+
 # A small pool makes repeated corners likely; the open range covers the
 # rest of the finite float32 line, subnormals included.
 COORD = st.one_of(
@@ -244,11 +251,13 @@ COORD = st.one_of(
     ),
     st.sampled_from([5, stl_io._CHUNK]),
 )
+@example((SHARED_CORNER, list(range(13))[::-1]), 5)
 def test_stl_weld_matches_unique(case, chunk):
     # A chunk of 5 reads most soups in several blocks and ranks the keys
     # 5 places of their sort order at a time, so runs of equal keys cross
     # blocks; the numbering is pinned to the (x, y, z) bit order whatever
-    # the order of the triangles.
+    # the order of the triangles. The third pass writes one corner of
+    # each vertex, whichever block holds it.
     soup, order = case
     for triangles in (soup, soup[np.array(order, dtype=np.intp)]):
         with pytest.MonkeyPatch.context() as mp:
@@ -265,6 +274,12 @@ def test_stl_weld_merges_signed_zeros():
     mesh = read_stl(binary_stl(soup))
     assert len(mesh.vertices) == 2
     assert mesh.triangles[0, 0] == mesh.triangles[0, 1]
+    assert not np.signbit(mesh.vertices).any()
+    # Every corner of vertex (-0, -0, -0) carries the sign, so whichever
+    # corner the third pass writes, the fold must clear it there.
+    soup = np.array([[[-0.0, -0.0, -0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]] * 2, dtype=np.float32)
+    mesh = read_stl(binary_stl(soup))
+    assert len(mesh.vertices) == 3
     assert not np.signbit(mesh.vertices).any()
 
 
